@@ -229,22 +229,22 @@ let () =
           "minor_collections"; "major_collections";
         ]
   | None -> fail "missing \"gc\" block");
-  (* The believed-rate microbench must exist (its numbers are not gated —
-     too noisy in CI — but its disappearance means the cache benchmark
-     was dropped). *)
+  (* The believed-rate and JSON-codec microbenches must exist (their
+     numbers are not gated — too noisy in CI — but their disappearance
+     means the benchmark was dropped). *)
   (match Json.member "microbench" doc with
   | Some (Json.List items) ->
-      let has_believed =
+      let has name =
         List.exists
-          (fun item ->
-            match Json.member "name" item with
-            | Some (Json.String name) ->
-                name = "primitives/believed-rate (cached vs cold)"
-            | _ -> false)
+          (fun item -> Json.member "name" item = Some (Json.String name))
           items
       in
-      if not has_believed then
-        fail "missing microbench \"primitives/believed-rate (cached vs cold)\""
+      List.iter
+        (fun name -> if not (has name) then fail "missing microbench \"%s\"" name)
+        [
+          "primitives/believed-rate (cached vs cold)";
+          "primitives/json render+parse (21k-outcome report)";
+        ]
   | Some _ | None -> fail "missing \"microbench\" list");
   Option.iter (compare_baseline doc) baseline;
   if !errors > 0 then begin

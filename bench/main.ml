@@ -367,11 +367,57 @@ let microbenchmarks () =
                  ~trace ~workload ())
                 .Rapid_sim.Engine.report)))
   in
+  (* The report codec at the size of one trace-hiload report (40
+     pkts/h/dest on a quick DieselNet day): ~21k outcomes, the delays of
+     the ~13k delivered packets and their per-pair split, rendered
+     compactly (as the digest and the store checksum do) and parsed back
+     (as Store.find does). *)
+  let json_test =
+    let rng = Rng.create 17 in
+    let n_outcomes = 21_000 and nodes = 10 in
+    let time () = Float.round (Rng.float rng *. 8.64e6) /. 100.0 in
+    let delays = ref [] in
+    let outcome id =
+      let created = time () in
+      let delivered_at =
+        if Rng.float rng < 0.62 then begin
+          let at = created +. (Rng.float rng *. 3240.0) in
+          delays := Json.Float (at -. created) :: !delays;
+          Json.Float at
+        end
+        else Json.Null
+      in
+      Json.Obj
+        [ ("id", Json.Int id); ("created", Json.Float created);
+          ("delivered_at", delivered_at) ]
+    in
+    let outcomes = List.init n_outcomes outcome in
+    let delays = List.rev !delays in
+    let pair_delays =
+      List.init (nodes * (nodes - 1)) (fun k ->
+          Json.Obj
+            [ ("src", Json.Int (k / (nodes - 1)));
+              ("dst", Json.Int (k mod (nodes - 1)));
+              ("delays",
+               Json.List
+                 (List.filteri (fun i _ -> i mod (nodes * (nodes - 1)) = k)
+                    delays)) ])
+    in
+    let doc =
+      Json.Obj
+        [ ("duration", Json.Float 86400.0); ("created", Json.Int n_outcomes);
+          ("avg_delay", Json.Float 1234.5678901234567);
+          ("delays", Json.List delays); ("pair_delays", Json.List pair_delays);
+          ("outcomes", Json.List outcomes) ]
+    in
+    Test.make ~name:"json render+parse (21k-outcome report)"
+      (Staged.stage (fun () -> ignore (Json.of_string (Json.to_string doc))))
+  in
   let tests =
     Test.make_grouped ~name:"primitives"
       [ pqueue_test; estimate_test; believed_rate_test; closure_test;
         simplex_test; sparse_lp_test; ilp_test; convolve_test;
-        send_queue_test; engine_test ]
+        send_queue_test; engine_test; json_test ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
   let instance = Toolkit.Instance.monotonic_clock in

@@ -134,8 +134,13 @@ module Collector = struct
 end
 
 module Jsonl = struct
+  (* Each line is rendered into one buffer reused for the life of the
+     sink, so an event costs its JSON tree but no string of its own. *)
   let tracer oc =
+    let buf = Buffer.create 256 in
     make (fun ev ->
-        output_string oc (Json.to_string (event_to_json ev));
-        output_char oc '\n')
+        Buffer.clear buf;
+        Json.to_buffer buf (event_to_json ev);
+        Buffer.add_char buf '\n';
+        Buffer.output_buffer oc buf)
 end

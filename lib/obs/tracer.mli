@@ -99,8 +99,10 @@ module Collector : sig
   val to_json : t -> Json.t
 end
 
-(** Streaming sink: one compact JSON object per line. The caller owns the
-    channel (and its flushing/closing). *)
+(** Streaming sink: one compact JSON object per line, byte-identical to
+    [Json.to_string (event_to_json ev)] plus a newline. The caller owns
+    the channel (and its flushing/closing). A sink renders through one
+    reused buffer, so it must be fed from one domain at a time. *)
 module Jsonl : sig
   val tracer : out_channel -> t
 end

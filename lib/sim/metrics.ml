@@ -159,6 +159,10 @@ let report t =
            outcomes);
   }
 
+(* [List.map f (Array.to_list a)] without the intermediate list. *)
+let json_list_of_array f a = Array.fold_right (fun x acc -> f x :: acc) a []
+let json_float f = Rapid_obs.Json.Float f
+
 let report_to_json (r : report) =
   let open Rapid_obs in
   Json.Obj
@@ -182,39 +186,42 @@ let report_to_json (r : report) =
       ("drops", Json.Int r.drops);
       ("ack_purges", Json.Int r.ack_purges);
       ("transfers", Json.Int r.transfers);
-      ("delays",
-       Json.List (Array.to_list (Array.map (fun d -> Json.Float d) r.delays)));
+      ("delays", Json.List (json_list_of_array json_float r.delays));
       ("pair_delays",
        Json.List
-         (Array.to_list
-            (Array.map
-               (fun ((src, dst), delays) ->
-                 Json.Obj
-                   [
-                     ("src", Json.Int src);
-                     ("dst", Json.Int dst);
-                     ("delays",
-                      Json.List
-                        (Array.to_list
-                           (Array.map (fun d -> Json.Float d) delays)));
-                   ])
-               r.pair_delays)));
+         (json_list_of_array
+            (fun ((src, dst), delays) ->
+              Json.Obj
+                [
+                  ("src", Json.Int src);
+                  ("dst", Json.Int dst);
+                  ("delays", Json.List (json_list_of_array json_float delays));
+                ])
+            r.pair_delays));
       ("outcomes",
        Json.List
-         (Array.to_list
-            (Array.map
-               (fun (id, created, delivered_at) ->
-                 Json.Obj
-                   [
-                     ("id", Json.Int id);
-                     ("created", Json.Float created);
-                     ("delivered_at",
-                      match delivered_at with
-                      | Some at -> Json.Float at
-                      | None -> Json.Null);
-                   ])
-               r.outcomes)));
+         (json_list_of_array
+            (fun (id, created, delivered_at) ->
+              Json.Obj
+                [
+                  ("id", Json.Int id);
+                  ("created", Json.Float created);
+                  ("delivered_at",
+                   match delivered_at with
+                   | Some at -> Json.Float at
+                   | None -> Json.Null);
+                ])
+            r.outcomes));
     ]
+
+(* [Array.of_list (List.map f l)] without the intermediate list; [f]
+   runs on the elements in order. *)
+let array_of_list f = function
+  | [] -> [||]
+  | x :: rest as l ->
+      let a = Array.make (List.length l) (f x) in
+      List.iteri (fun i y -> a.(i + 1) <- f y) rest;
+      a
 
 (* Inverse of [report_to_json], for the persistent point store: a report
    written with the strict writer (finite floats in %.17g, integer-valued
@@ -249,41 +256,36 @@ let report_of_json j =
     | _ -> shape name
   in
   let list name = match get name with Json.List l -> l | _ -> shape name in
-  let delays =
-    Array.of_list (List.map (float_v "delays") (list "delays"))
-  in
+  let delays = array_of_list (float_v "delays") (list "delays") in
   let pair_delays =
-    Array.of_list
-      (List.map
-         (fun item ->
-           match
-             ( Json.member "src" item,
-               Json.member "dst" item,
-               Json.member "delays" item )
-           with
-           | Some (Json.Int src), Some (Json.Int dst), Some (Json.List ds) ->
-               ( (src, dst),
-                 Array.of_list (List.map (float_v "pair_delays") ds) )
-           | _ -> shape "pair_delays")
-         (list "pair_delays"))
+    array_of_list
+      (fun item ->
+        match
+          ( Json.member "src" item,
+            Json.member "dst" item,
+            Json.member "delays" item )
+        with
+        | Some (Json.Int src), Some (Json.Int dst), Some (Json.List ds) ->
+            ((src, dst), array_of_list (float_v "pair_delays") ds)
+        | _ -> shape "pair_delays")
+      (list "pair_delays")
   in
   let outcomes =
-    Array.of_list
-      (List.map
-         (fun item ->
-           match
-             ( Json.member "id" item,
-               Json.member "created" item,
-               Json.member "delivered_at" item )
-           with
-           | Some (Json.Int id), Some created, Some Json.Null ->
-               (id, float_v "outcomes.created" created, None)
-           | Some (Json.Int id), Some created, Some at ->
-               ( id,
-                 float_v "outcomes.created" created,
-                 Some (float_v "outcomes.delivered_at" at) )
-           | _ -> shape "outcomes")
-         (list "outcomes"))
+    array_of_list
+      (fun item ->
+        match
+          ( Json.member "id" item,
+            Json.member "created" item,
+            Json.member "delivered_at" item )
+        with
+        | Some (Json.Int id), Some created, Some Json.Null ->
+            (id, float_v "outcomes.created" created, None)
+        | Some (Json.Int id), Some created, Some at ->
+            ( id,
+              float_v "outcomes.created" created,
+              Some (float_v "outcomes.delivered_at" at) )
+        | _ -> shape "outcomes")
+      (list "outcomes")
   in
   {
     duration = float "duration";
