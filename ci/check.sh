@@ -39,11 +39,16 @@ echo "== ilp smoke =="
 RAPID_BENCH_STRICT=1 dune exec bench/ilp_smoke.exe
 
 # Parallel determinism smoke: the same figure with --jobs 2 and --jobs 4
-# must be byte-identical to the sequential run (the Rapid_par contract),
-# and the sequential run must match a pinned golden hash — buffer/send-
-# queue rewrites must keep reports byte-identical; any deliberate output
-# change (e.g. new counters in the JSON) retunes this hash on purpose.
+# must be byte-identical to the sequential run, counters included (the
+# Rapid_par contract), and the sequential run's "artifact" member must
+# match a pinned golden MD5 — buffer/send-queue rewrites must keep the
+# figure byte-identical. Only the member is pinned, so a change to the
+# counter block (a new counter, a counter that now counts something
+# else) does not retune it; the key check below pins the one contract
+# the counter block carries.
 echo "== parallel determinism smoke =="
+RAPID_BIN="./_build/default/bin/main.exe"
+JSON_MEMBER_BIN="./_build/default/bench/json_member.exe"
 FIG_SEQ="${TMPDIR:-/tmp}/rapid_fig3_seq.json"
 FIG_PAR="${TMPDIR:-/tmp}/rapid_fig3_par.json"
 FIG_PAR4="${TMPDIR:-/tmp}/rapid_fig3_par4.json"
@@ -52,15 +57,21 @@ dune exec bin/main.exe -- figure -i fig3 --jobs 2 --json "$FIG_PAR" >/dev/null
 dune exec bin/main.exe -- figure -i fig3 --jobs 4 --json "$FIG_PAR4" >/dev/null
 cmp "$FIG_SEQ" "$FIG_PAR"
 cmp "$FIG_SEQ" "$FIG_PAR4"
-# retuned for the four lp.* counters the sparse-simplex rewrite adds to
-# the counter block (reports members are untouched; the per-protocol MD5
-# goldens below prove it)
-FIG3_GOLDEN="b671b7157d5670b75db56a8b3f59a05e8f2a073cecf1b11c019cce65555dda34"
-FIG3_HASH="$(sha256sum "$FIG_SEQ" | cut -d' ' -f1)"
+FIG3_GOLDEN="68d7456c74c238910b5845edef9f76b9"
+FIG3_HASH="$("$JSON_MEMBER_BIN" "$FIG_SEQ" artifact | md5sum | cut -d' ' -f1)"
 if [ "$FIG3_HASH" != "$FIG3_GOLDEN" ]; then
-  echo "fig3 report hash mismatch: $FIG3_HASH != $FIG3_GOLDEN" >&2
+  echo "fig3 artifact hash mismatch: $FIG3_HASH != $FIG3_GOLDEN" >&2
   exit 1
 fi
+# An uncached run opens no store, so its counter block carries no
+# store.* keys (store counters register only once a store is opened).
+FIG3_COUNTERS="$("$JSON_MEMBER_BIN" "$FIG_SEQ" counters)"
+case "$FIG3_COUNTERS" in
+  *'"store.'*)
+    echo "uncached fig3 run registered store counters: $FIG3_COUNTERS" >&2
+    exit 1
+    ;;
+esac
 
 # Protocol report goldens: every protocol/metric/load cell of the core
 # comparison, pinned by MD5 of the run's "reports" JSON member. The hot
@@ -68,10 +79,8 @@ fi
 # flat plan scoring, delta dedup) are all exact rewrites — a drifting
 # hash here means an "optimization" changed routing behavior. Only the
 # reports member is hashed, so adding counters/instrumentation does not
-# retune these; the fig3 hash above pins the full JSON.
+# retune these.
 echo "== protocol report goldens =="
-RAPID_BIN="./_build/default/bin/main.exe"
-JSON_MEMBER_BIN="./_build/default/bench/json_member.exe"
 PROTO_OUT="${TMPDIR:-/tmp}/rapid_proto_golden.json"
 check_proto() {
   proto="$1"; metric="$2"; load="$3"; want="$4"
@@ -110,9 +119,9 @@ check_proto rapid deadline 2 59d370a22d5f880fca9c417ec74c5b45
 #   1. All-zero fault rates are the plain engine, byte for byte.
 #   2. A faulted run is byte-identical across --jobs widths (the fault
 #      plan is pre-drawn from (spec seed, run seed, trace)).
-#   3. The faulted report matches a pinned golden hash — any change to
-#      the fault stream or its engine plumbing must retune this on
-#      purpose, not by accident.
+#   3. The faulted run's "reports" member matches a pinned golden MD5 —
+#      any change to the fault stream or its engine plumbing must retune
+#      this on purpose, not by accident. Counter changes do not.
 echo "== fault injection smoke =="
 FAULT_PLAIN="${TMPDIR:-/tmp}/rapid_faults_plain.json"
 FAULT_ZERO="${TMPDIR:-/tmp}/rapid_faults_zero.json"
@@ -125,13 +134,10 @@ cmp "$FAULT_PLAIN" "$FAULT_ZERO"
 dune exec bin/main.exe -- run --load 2 --faults "$FAULT_SPEC" --json "$FAULT_SEQ" >/dev/null
 dune exec bin/main.exe -- run --load 2 --faults "$FAULT_SPEC" --jobs 4 --json "$FAULT_PAR" >/dev/null
 cmp "$FAULT_SEQ" "$FAULT_PAR"
-# retuned for the lp.* counter keys (see FIG3_GOLDEN above); the
-# zero-fault and cross-jobs byte-compares prove the fault stream itself
-# is untouched
-FAULT_GOLDEN="925c752ce572dfb352b4fb744b11a1353ee485bc8dece130658a87d896db8d8f"
-FAULT_HASH="$(sha256sum "$FAULT_SEQ" | cut -d' ' -f1)"
+FAULT_GOLDEN="1232caa4bab6cbd3b6281a69fc33b3d1"
+FAULT_HASH="$("$JSON_MEMBER_BIN" "$FAULT_SEQ" reports | md5sum | cut -d' ' -f1)"
 if [ "$FAULT_HASH" != "$FAULT_GOLDEN" ]; then
-  echo "faulted report hash mismatch: $FAULT_HASH != $FAULT_GOLDEN" >&2
+  echo "faulted reports hash mismatch: $FAULT_HASH != $FAULT_GOLDEN" >&2
   exit 1
 fi
 
@@ -143,8 +149,9 @@ fi
 #      warm wall-time < 25% of cold.
 #   3. A manually corrupted cell degrades to a recompute — the rerun
 #      still succeeds, still byte-matches, and counts corrupt_cells=1.
-#   4. An uncached run is unaffected (the fig3 golden hash above already
-#      pins that: store counters only register once a store is opened).
+#   4. An uncached run is unaffected (the fig3 artifact golden and the
+#      counter key check above pin that: store counters only register
+#      once a store is opened).
 echo "== point store smoke =="
 STORE_DIR="${TMPDIR:-/tmp}/rapid_store_smoke"
 FIG_COLD="${TMPDIR:-/tmp}/rapid_fig3_cold.json"
@@ -152,18 +159,16 @@ FIG_WARM="${TMPDIR:-/tmp}/rapid_fig3_warm.json"
 FIG_REPAIR="${TMPDIR:-/tmp}/rapid_fig3_repair.json"
 STORE_OUT="${TMPDIR:-/tmp}/rapid_store_smoke_out.txt"
 rm -rf "$STORE_DIR"
-RAPID="./_build/default/bin/main.exe"
-JSON_MEMBER="./_build/default/bench/json_member.exe"
 COLD_T0=$(date +%s%N)
-"$RAPID" figure -i fig3 --cache-dir "$STORE_DIR" --json "$FIG_COLD" > "$STORE_OUT"
+"$RAPID_BIN" figure -i fig3 --cache-dir "$STORE_DIR" --json "$FIG_COLD" > "$STORE_OUT"
 COLD_T1=$(date +%s%N)
 grep -E "store: hits=0 misses=[1-9][0-9]* writes=[1-9][0-9]* corrupt_cells=0" "$STORE_OUT" >/dev/null
 WARM_T0=$(date +%s%N)
-"$RAPID" figure -i fig3 --cache-dir "$STORE_DIR" --json "$FIG_WARM" > "$STORE_OUT"
+"$RAPID_BIN" figure -i fig3 --cache-dir "$STORE_DIR" --json "$FIG_WARM" > "$STORE_OUT"
 WARM_T1=$(date +%s%N)
 grep -E "store: hits=[1-9][0-9]* misses=0 writes=0 corrupt_cells=0" "$STORE_OUT" >/dev/null
-"$JSON_MEMBER" "$FIG_COLD" artifact > "$FIG_COLD.artifact"
-"$JSON_MEMBER" "$FIG_WARM" artifact > "$FIG_WARM.artifact"
+"$JSON_MEMBER_BIN" "$FIG_COLD" artifact > "$FIG_COLD.artifact"
+"$JSON_MEMBER_BIN" "$FIG_WARM" artifact > "$FIG_WARM.artifact"
 cmp "$FIG_COLD.artifact" "$FIG_WARM.artifact"
 COLD_NS=$((COLD_T1 - COLD_T0))
 WARM_NS=$((WARM_T1 - WARM_T0))
@@ -174,19 +179,19 @@ fi
 # Corrupt one cell and rerun: recomputed, repaired, still byte-identical.
 CELL="$(find "$STORE_DIR" -name '*.json' | sort | head -n 1)"
 printf 'garbage' > "$CELL"
-"$RAPID" figure -i fig3 --cache-dir "$STORE_DIR" --json "$FIG_REPAIR" > "$STORE_OUT" 2>/dev/null
+"$RAPID_BIN" figure -i fig3 --cache-dir "$STORE_DIR" --json "$FIG_REPAIR" > "$STORE_OUT" 2>/dev/null
 grep -E "store: hits=[1-9][0-9]* misses=1 writes=1 corrupt_cells=1" "$STORE_OUT" >/dev/null
-"$JSON_MEMBER" "$FIG_REPAIR" artifact > "$FIG_REPAIR.artifact"
+"$JSON_MEMBER_BIN" "$FIG_REPAIR" artifact > "$FIG_REPAIR.artifact"
 cmp "$FIG_COLD.artifact" "$FIG_REPAIR.artifact"
 # The repair rewrote the cell, so one more run must be all hits again.
-"$RAPID" figure -i fig3 --cache-dir "$STORE_DIR" > "$STORE_OUT"
+"$RAPID_BIN" figure -i fig3 --cache-dir "$STORE_DIR" > "$STORE_OUT"
 grep -E "store: hits=[1-9][0-9]* misses=0 writes=0 corrupt_cells=0" "$STORE_OUT" >/dev/null
 # cache subcommands: stats sees the cells, gc bounds the size, clear empties.
-"$RAPID" cache stats --cache-dir "$STORE_DIR" | grep -E "cells +[1-9]" >/dev/null
-"$RAPID" cache gc --cache-dir "$STORE_DIR" --max-bytes 1 >/dev/null
-"$RAPID" cache stats --cache-dir "$STORE_DIR" | grep -E "cells +0" >/dev/null
+"$RAPID_BIN" cache stats --cache-dir "$STORE_DIR" | grep -E "cells +[1-9]" >/dev/null
+"$RAPID_BIN" cache gc --cache-dir "$STORE_DIR" --max-bytes 1 >/dev/null
+"$RAPID_BIN" cache stats --cache-dir "$STORE_DIR" | grep -E "cells +0" >/dev/null
 # Unknown artifact ids exit 2 and list the valid ids.
-if "$RAPID" figure -i nosuchfig 2> "$STORE_OUT"; then
+if "$RAPID_BIN" figure -i nosuchfig 2> "$STORE_OUT"; then
   echo "unknown artifact id should fail" >&2
   exit 1
 else

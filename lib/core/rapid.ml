@@ -104,10 +104,11 @@ let make params : Protocol.packed =
          the "expected meeting times with nodes" row delta (§4.2). *)
       meet_count : int array;
       last_table_sync : Dense.Int_mat.t;
-      (* Per directed pair, the (packet id, holder id) delta entries a
-         budget cut left unsent; re-offered (re-materialized from the
-         current db) at the next exchange with that peer. *)
-      meta_backlog : (int * int, (int * int, unit) Hashtbl.t) Hashtbl.t;
+      (* meta_backlog.(sender * n + receiver): keys (packet id * n +
+         holder id) of the delta entries a budget cut left unsent,
+         re-checked against the current db at the next exchange with
+         that peer. *)
+      meta_backlog : int Sortbuf.t array;
       (* Per-contact cache of buffer position indexes (cleared each
          contact): transfers would otherwise rescan the receiver's buffer
          per packet. Entries go slightly stale within a contact; the next
@@ -147,13 +148,10 @@ let make params : Protocol.packed =
          non-buffered packet) is never read. *)
       mutable own_n : int array array;
       (* Reused per-call scratch (reset, never re-created): the
-         position-index accumulation arena, the metadata-delta dedup set
-         (indexed by packet id * num_nodes + holder id, generation-stamped
-         so "clearing" is one counter bump), and the delta sort buffer. *)
+         position-index accumulation arena and the metadata delta's
+         working memory. *)
       scratch_by_dst : (int, (float * int * int) list ref) Hashtbl.t;
-      mutable delta_seen : int array;
-      mutable delta_gen : int;
-      delta_buf : Replica_db.entry Sortbuf.t;
+      delta : Replica_db.delta_scratch;
       (* Flat per-plan scoring scratch: candidate packets and their
          ranking key in parallel growable arrays, ranked by sorting an
          index permutation through the shared Sortbuf arena — no boxed
@@ -194,7 +192,7 @@ let make params : Protocol.packed =
         last_meta_exchange = Dense.Mat.create ~init:neg_infinity n;
         meet_count = Array.make n 0;
         last_table_sync = Dense.Int_mat.create n;
-        meta_backlog = Hashtbl.create 16;
+        meta_backlog = Array.init (n * n) (fun _ -> Sortbuf.create ());
         contact_indexes = Hashtbl.create 4;
         pos_cache = Hashtbl.create 16;
         victim =
@@ -214,9 +212,7 @@ let make params : Protocol.packed =
         refresh_changed = Sortbuf.create ();
         own_n = Array.init n (fun _ -> [||]);
         scratch_by_dst = Hashtbl.create 16;
-        delta_seen = [||];
-        delta_gen = 0;
-        delta_buf = Sortbuf.create ();
+        delta = Replica_db.delta_scratch ();
         plan_pkts = [||];
         plan_key = [||];
         plan_len = 0;
@@ -379,8 +375,8 @@ let make params : Protocol.packed =
       if pi.pi_epoch <> ep then begin
         let by_dst = t.scratch_by_dst in
         Hashtbl.reset by_dst;
-        List.iter
-          (fun (e : Buffer.entry) ->
+        Buffer.fold_unordered t.env.Env.buffers.(node) ~init:()
+          ~f:(fun () (e : Buffer.entry) ->
             let p = e.packet in
             let dst = p.Packet.dst in
             let stale =
@@ -398,8 +394,7 @@ let make params : Protocol.packed =
                     c
               in
               cell := (p.Packet.created, p.Packet.id, p.Packet.size) :: !cell
-            end)
-          (Env.buffered_entries t.env node);
+            end);
         (* A cell whose version moved but collected nothing lost its last
            entry (drop / delivery / ack purge): remove it, as a rebuild
            would. Unmoved versions are untouchable — every buffer
@@ -545,7 +540,7 @@ let make params : Protocol.packed =
       let recv_index = cached_index t receiver in
       t.memo_gen <- t.memo_gen + 1;
       t.plan_len <- 0;
-      (* One walk over the sender's buffer snapshot — no materialized
+      (* One walk over the sender's buffer slots — no materialized
          candidate / direct / rest lists. Sound because every downstream
          order is a total-order sort (id tie-breaks everywhere), so the
          walk order never shows in the output. Direct-to-receiver packets
@@ -556,8 +551,8 @@ let make params : Protocol.packed =
          ranking below reads. Both orders are "key descending, id
          ascending", so one comparator serves every metric. *)
       let direct =
-        List.fold_left
-          (fun direct (e : Buffer.entry) ->
+        Buffer.fold_unordered t.env.Env.buffers.(sender) ~init:[]
+          ~f:(fun direct (e : Buffer.entry) ->
             let p = e.packet in
             if Env.has_packet t.env ~node:receiver ~packet:p then direct
             else if p.Packet.dst = receiver then e :: direct
@@ -636,8 +631,6 @@ let make params : Protocol.packed =
               end;
               direct
             end)
-          []
-          (Env.buffered_entries t.env sender)
       in
       push_direct t ~now direct;
       (* Rank an index permutation through the shared arena; key and id
@@ -668,10 +661,6 @@ let make params : Protocol.packed =
          inputs (pair sample count) are untouched since the last refresh
          reproduces the exact n_meet of that refresh for every entry, so
          its hysteresis verdicts stand and the whole cell is skipped. *)
-      (* Unconditional snapshot fetch, as before the incremental index:
-         keeps the lazy snapshot-rebuild accounting (buffer.rebuilds)
-         identical run for run. *)
-      ignore (Env.buffered_entries t.env node : Buffer.entry list);
       let ep = Buffer.epoch t.env.Env.buffers.(node) in
       let index = sync_index t node in
       if index.pi_refresh_epoch <> ep then begin
@@ -742,159 +731,56 @@ let make params : Protocol.packed =
          already-delivered packet is cleared on the spot. The env hook is
          how the run accounts the purge (exactly once, in Metrics). *)
       let buffer = t.env.Env.buffers.(node) in
+      (* Purged in ascending id order (the purge events show it), sorted
+         here because the slot walk is unordered; victims are few. *)
       let victims =
-        List.filter
-          (fun (e : Buffer.entry) ->
-            Env.is_delivered t.env e.packet.Packet.id)
-          (Env.buffered_entries t.env node)
+        Buffer.fold_unordered buffer ~init:[] ~f:(fun acc (e : Buffer.entry) ->
+            if Env.is_delivered t.env e.packet.Packet.id then e.packet :: acc
+            else acc)
+        |> List.sort (fun (x : Packet.t) (y : Packet.t) ->
+               Int.compare x.Packet.id y.Packet.id)
       in
       List.iter
-        (fun (e : Buffer.entry) ->
-          match Buffer.remove buffer e.packet.Packet.id with
+        (fun (p : Packet.t) ->
+          match Buffer.remove buffer p.Packet.id with
           | Some _ ->
-              bump_cell t node e.packet.Packet.dst;
-              t.env.Env.on_ack_purge ~now ~node e.packet;
-              Replica_db.remove_packet t.truth ~packet_id:e.packet.Packet.id
+              bump_cell t node p.Packet.dst;
+              t.env.Env.on_ack_purge ~now ~node p;
+              Replica_db.remove_packet t.truth ~packet_id:p.Packet.id
           | None -> ())
         victims
 
     (* Ship [sender]'s metadata delta to [receiver]: entries changed since
        the last exchange plus whatever a previous budget cut left unsent,
-       oldest first. The watermark always advances to [now]; the unsent set
-       is tracked precisely in [meta_backlog] instead of by rewinding the
-       watermark — [entries_since] clamps gossip log times and ties on
-       [updated_at], so a rewind re-offered already-shipped entries and
-       double-spent the budget. Returns bytes spent. *)
-    (* Oldest-first delta order; (packet id, holder id) is unique after
-       the dedup pass, so the order is total and the (unstable) scratch
-       sort is deterministic. *)
-    let cmp_delta (x : Replica_db.entry) (y : Replica_db.entry) =
-      match
-        Float.compare x.Replica_db.holder.Replica_db.updated_at
-          y.Replica_db.holder.Replica_db.updated_at
-      with
-      | 0 -> (
-          match
-            Int.compare x.Replica_db.packet.Packet.id
-              y.Replica_db.packet.Packet.id
-          with
-          | 0 -> Int.compare x.Replica_db.holder_id y.Replica_db.holder_id
-          | n -> n)
-      | n -> n
-
+       oldest first (Replica_db.ship_delta). The watermark always advances
+       to [now]; the unsent set is tracked precisely in [meta_backlog]
+       instead of by rewinding the watermark — the update log clamps
+       gossip log times and ties on [updated_at], so a rewind re-offered
+       already-shipped entries and double-spent the budget. Returns bytes
+       spent. *)
     let send_delta t ~now ~sender ~receiver ~entry_budget =
-      let since = Dense.Mat.get t.last_meta_exchange sender receiver in
-      let key = (sender, receiver) in
-      let eligible (e : Replica_db.entry) =
+      let n = t.env.Env.num_nodes in
+      let eligible =
         match params.channel with
         | Control_channel.Local_only ->
             (* Only packets currently in the sender's own buffer. *)
-            Rapid_sim.Buffer.mem
-              t.env.Env.buffers.(sender)
-              e.Replica_db.packet.Packet.id
-        | Control_channel.In_band -> true
-        | Control_channel.Instant_global -> false
+            let buf = t.env.Env.buffers.(sender) in
+            fun packet_id -> Buffer.mem buf packet_id
+        | Control_channel.In_band -> fun _ -> true
+        | Control_channel.Instant_global -> fun _ -> false
       in
-      (* Re-materialize the backlog from the current db: entries acked or
-         dropped since they were deferred have vanished and are skipped;
-         surviving ones ship their freshest holder info. *)
-      let backlog =
-        match Hashtbl.find_opt t.meta_backlog key with
-        | None -> []
-        | Some set ->
-            Hashtbl.fold
-              (fun (packet_id, holder_id) () acc ->
-                match Replica_db.known_packet t.dbs.(sender) ~packet_id with
-                | None -> acc
-                | Some packet -> (
-                    match
-                      Replica_db.find_holder t.dbs.(sender) ~packet_id
-                        ~holder_id
-                    with
-                    | None -> acc
-                    | Some holder ->
-                        { Replica_db.packet; holder_id; holder } :: acc))
-              set []
+      let recv_db = t.dbs.(receiver) in
+      let sent =
+        Replica_db.ship_delta t.delta t.dbs.(sender) ~num_nodes:n
+          ~since:(Dense.Mat.get t.last_meta_exchange sender receiver)
+          ~eligible
+          ~backlog:t.meta_backlog.((sender * n) + receiver)
+          ~budget:entry_budget
+          ~ship:(fun packet ~holder_id holder ->
+            ignore (Replica_db.merge recv_db ~packet ~holder_id ~holder))
       in
-      t.delta_gen <- t.delta_gen + 1;
-      let gen = t.delta_gen in
-      let delta = t.delta_buf in
-      Sortbuf.clear delta;
-      let num_nodes = t.env.Env.num_nodes in
-      (* Generation-stamped flat dedup: seen(k) iff delta_seen.(k) holds
-         this call's generation, so no per-call clear and no hashing. *)
-      let fresh k =
-        if k < Array.length t.delta_seen then Array.unsafe_get t.delta_seen k <> gen
-        else true
-      in
-      let mark k =
-        let cap = Array.length t.delta_seen in
-        if k >= cap then begin
-          let g = Array.make (max 1024 (2 * (k + 1))) 0 in
-          Array.blit t.delta_seen 0 g 0 cap;
-          t.delta_seen <- g
-        end;
-        Array.unsafe_set t.delta_seen k gen
-      in
-      let consider (e : Replica_db.entry) =
-        let k =
-          (e.Replica_db.packet.Packet.id * num_nodes) + e.Replica_db.holder_id
-        in
-        if fresh k then begin
-          mark k;
-          if eligible e then Sortbuf.push delta e
-        end
-      in
-      List.iter consider backlog;
-      (* The raw log suffix may visit a (packet, holder) pair several
-         times; the dedup keeps the first, and every occurrence would
-         materialize the same current-db value, so deduping on raw ids
-         BEFORE materializing yields the same set (and hence the same
-         sorted delta) while paying the record lookups and the entry
-         allocation once per distinct pair instead of once per log
-         occurrence. *)
-      Replica_db.iter_ids_since t.dbs.(sender) since
-        (fun ~packet_id ~holder_id ->
-          let k = (packet_id * num_nodes) + holder_id in
-          if fresh k then begin
-            mark k;
-            match
-              Replica_db.entry_since t.dbs.(sender) since ~packet_id
-                ~holder_id
-            with
-            | Some e -> if eligible e then Sortbuf.push delta e
-            | None -> ()
-          end);
-      (* Only the first [entry_budget] entries ship (in oldest-first
-         order); everything past the cut lands in the unordered backlog
-         set, so a partial selection replaces the full sort. *)
-      Sortbuf.select delta ~cmp:cmp_delta entry_budget;
-      let unsent = ref None in
-      let sent = ref 0 in
-      Sortbuf.iteri delta (fun i (e : Replica_db.entry) ->
-          if i < entry_budget then begin
-            incr sent;
-            ignore
-              (Replica_db.merge t.dbs.(receiver) ~packet:e.Replica_db.packet
-                 ~holder_id:e.Replica_db.holder_id ~holder:e.Replica_db.holder)
-          end
-          else begin
-            let set =
-              match !unsent with
-              | Some set -> set
-              | None ->
-                  let set = Hashtbl.create 16 in
-                  unsent := Some set;
-                  set
-            in
-            Hashtbl.replace set
-              (e.Replica_db.packet.Packet.id, e.Replica_db.holder_id) ()
-          end);
-      (match !unsent with
-      | None -> Hashtbl.remove t.meta_backlog key
-      | Some set -> Hashtbl.replace t.meta_backlog key set);
       Dense.Mat.set t.last_meta_exchange sender receiver now;
-      !sent * params.packet_entry_bytes
+      sent * params.packet_entry_bytes
 
     let on_contact t { Protocol.now; a; b; budget; meta_budget; meta_ok } =
       Send_queue.begin_contact t.queue;
@@ -1102,13 +988,10 @@ let make params : Protocol.packed =
          would deadlock a full source buffer forever). *)
       let v = t.victim in
       let fresh_plan ~own =
-        let all = Env.buffered_entries t.env node in
         let entries =
-          if own then all
-          else
-            List.filter
-              (fun (e : Buffer.entry) -> e.packet.Packet.src <> node)
-              all
+          Buffer.fold_unordered t.env.Env.buffers.(node) ~init:[]
+            ~f:(fun acc (e : Buffer.entry) ->
+              if own || e.packet.Packet.src <> node then e :: acc else acc)
         in
         build_victim_plan t ~now ~node ~own entries
       in
@@ -1178,13 +1061,10 @@ let make params : Protocol.packed =
       let n = t.env.Env.num_nodes in
       for peer = 0 to n - 1 do
         Dense.Mat.set t.last_meta_exchange node peer neg_infinity;
-        Dense.Int_mat.set t.last_table_sync node peer 0
+        Dense.Int_mat.set t.last_table_sync node peer 0;
+        Sortbuf.clear t.meta_backlog.((node * n) + peer)
       done;
-      t.meet_count.(node) <- 0;
-      Hashtbl.filter_map_inplace
-        (fun (sender, _) pending ->
-          if sender = node then None else Some pending)
-        t.meta_backlog
+      t.meet_count.(node) <- 0
   end : Protocol.S)
 
 let make_default metric = make (default_params metric)

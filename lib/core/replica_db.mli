@@ -66,31 +66,45 @@ val version : t -> packet_id:int -> int
 
 val known_packet : t -> packet_id:int -> Rapid_sim.Packet.t option
 
-val iter_since : t -> float -> (entry -> unit) -> unit
-(** Visit the log suffix of updates newer than the threshold (a binary
-    search finds the boundary; no allocation per call), materializing
-    each surviving (packet, holder) pair from the current db state. A
-    pair updated several times since the threshold is visited once per
-    update with identical (current) contents — callers that need a set
-    dedup on (packet id, holder id). The retained history is bounded
-    (several thousand updates): peers that have not exchanged for a very
-    long time receive a truncated, bounded-staleness delta. *)
-
 val iter_ids_since :
   t -> float -> (packet_id:int -> holder_id:int -> unit) -> unit
-(** The raw (packet id, holder id) walk underlying {!iter_since}:
-    duplicates and superseded entries included, nothing allocated or
-    looked up. Callers dedup and then {!entry_since} each distinct pair,
-    so the per-occurrence cost of a long suffix is two array reads. *)
+(** Walk the (packet id, holder id) pairs of the update-log suffix newer
+    than the threshold (a binary search finds the boundary): duplicates
+    and superseded or forgotten pairs included, nothing looked up. The
+    retained history is bounded (several thousand updates): peers that
+    have not exchanged for a very long time receive a truncated,
+    bounded-staleness delta. *)
 
-val entry_since : t -> float -> packet_id:int -> holder_id:int -> entry option
-(** Materialize one (packet, holder) pair from the current db state, as
-    {!iter_since} would: [None] if forgotten or not updated since the
-    threshold. *)
+type delta_scratch
+(** Reused working memory of {!ship_delta}; one per caller. *)
+
+val delta_scratch : unit -> delta_scratch
+
+val ship_delta :
+  delta_scratch ->
+  t ->
+  num_nodes:int ->
+  since:float ->
+  eligible:(int -> bool) ->
+  backlog:int Rapid_prelude.Sortbuf.t ->
+  budget:int ->
+  ship:(Rapid_sim.Packet.t -> holder_id:int -> holder -> unit) ->
+  int
+(** One direction of the control channel's replica delta (§4.2). The
+    candidates are the [backlog] keys (entries a previous budget cut left
+    unsent, re-checked against the current db with no threshold) plus
+    every pair updated after [since], deduplicated, restricted to packets
+    [eligible] accepts (by packet id). The [budget] oldest candidates,
+    by (updated_at, packet id, holder id), are passed to [ship] in that
+    order with their current holder info; [backlog] is overwritten with
+    the keys of the rest. A key is [packet_id * num_nodes + holder_id].
+    Returns the number shipped. Allocates nothing per candidate once the
+    scratch has grown. *)
 
 val entries_since : t -> float -> entry list
-(** The deduplicated {!iter_since} visit as a list, approximately newest
-    first — the delta the control channel ships. *)
+(** The distinct pairs of the {!iter_ids_since} walk still stored and
+    updated after the threshold, materialized from the current db state,
+    approximately newest first. *)
 
 val size : t -> int
 (** Total holder entries stored. *)

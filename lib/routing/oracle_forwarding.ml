@@ -82,19 +82,21 @@ let make ~trace () : Protocol.packed =
         ignore (Buffer.remove t.env.Env.buffers.(sender) p.Packet.id)
 
     let drop_candidate t ~now ~node ~incoming:_ =
-      (* Drop the packet whose delivery prospects are worst. *)
+      (* Drop the packet whose delivery prospects are worst; ties to the
+         lowest id, so the slot order of the walk never shows. *)
       let worst =
-        List.fold_left
-          (fun acc (e : Buffer.entry) ->
+        Buffer.fold_unordered t.env.Env.buffers.(node) ~init:None
+          ~f:(fun acc (e : Buffer.entry) ->
             let p = e.packet in
             let eta =
               earliest_delivery ~now ~node ~dst:p.Packet.dst ~size:p.Packet.size
             in
             match acc with
-            | Some (_, best_eta) when best_eta >= eta -> acc
+            | Some ((best : Packet.t), best_eta)
+              when best_eta > eta
+                   || (best_eta = eta && best.Packet.id < p.Packet.id) ->
+                acc
             | _ -> Some (p, eta))
-          None
-          (Env.buffered_entries t.env node)
       in
       Option.map fst worst
 

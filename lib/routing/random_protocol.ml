@@ -36,9 +36,16 @@ let make ?(with_acks = false) ?(summary_vector = false) ?(ack_entry_bytes = 8)
          (any node knows who it is talking to). *)
       Send_queue.begin_plan ~check_peer:summary_vector t.queue t.env ~sender
         ~receiver;
+      (* The shuffle below consumes its input order, so this plan (alone
+         among the protocols) walks the buffer in id order. *)
       let entries =
-        if summary_vector then Send_queue.candidates t.env ~sender ~receiver
-        else Env.buffered_entries t.env sender
+        let all = Env.buffered_entries t.env sender in
+        if summary_vector then
+          List.filter
+            (fun (e : Buffer.entry) ->
+              not (Env.has_packet t.env ~node:receiver ~packet:e.packet))
+            all
+        else all
       in
       let direct, rest = Protocol.split_direct ~receiver entries in
       Send_queue.push_entries t.queue ~cmp:by_age direct;

@@ -1,6 +1,8 @@
 type entry = { packet : Packet.t; received : float; hops : int }
 
-(* Counts snapshot rebuilds across all buffers (BENCH.json). *)
+(* Counts the id-order sorts [entries] performs, across all buffers
+   (BENCH.json). Only consumers whose output shows the walk order pay
+   one. *)
 let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
 
 (* Dense slot array + id->slot index. [arr.(0..len-1)] are the live
@@ -8,9 +10,8 @@ let c_rebuilds = Rapid_obs.Counter.create "buffer.rebuilds"
    iteration never touches the hash table. Unused slots may retain stale
    entry pointers (used as fill on growth) — [len] guards every read.
 
-   [epoch] moves on every mutation and versions [snapshot], the id-sorted
-   entry list handed out by [entries]: it is rebuilt at most once per
-   buffer change instead of once per call. [removals] moves only when an
+   [epoch] moves on every mutation and versions caches built from the
+   contents (RAPID's position indexes). [removals] moves only when an
    entry leaves the buffer — Send_queue cursors use it to skip per-pop
    membership checks while no planned packet can have disappeared. *)
 type t = {
@@ -21,8 +22,6 @@ type t = {
   slots : (int, int) Hashtbl.t;
   mutable epoch : int;
   mutable removals : int;
-  mutable snapshot : entry list;
-  mutable snapshot_epoch : int;
   (* Live bytes per destination, maintained at add/remove/clear so
      per-destination queue totals are O(1) instead of a buffer scan. *)
   dst_bytes : (int, int) Hashtbl.t;
@@ -40,8 +39,6 @@ let create ~capacity =
     slots = Hashtbl.create 64;
     epoch = 0;
     removals = 0;
-    snapshot = [];
-    snapshot_epoch = 0;
     dst_bytes = Hashtbl.create 16;
   }
 
@@ -123,16 +120,10 @@ let clear t =
 let cmp_id a b = Int.compare a.packet.Packet.id b.packet.Packet.id
 
 let entries t =
-  if t.snapshot_epoch <> t.epoch then begin
-    Rapid_obs.Counter.incr c_rebuilds;
-    let sorted = Array.sub t.arr 0 t.len in
-    Array.sort cmp_id sorted;
-    t.snapshot <- Array.to_list sorted;
-    t.snapshot_epoch <- t.epoch
-  end;
-  t.snapshot
-
-let fold t ~init ~f = List.fold_left f init (entries t)
+  Rapid_obs.Counter.incr c_rebuilds;
+  let sorted = Array.sub t.arr 0 t.len in
+  Array.sort cmp_id sorted;
+  Array.to_list sorted
 
 let fold_unordered t ~init ~f =
   let acc = ref init in

@@ -3,13 +3,14 @@
     The engine owns one buffer per node and is the only component allowed
     to add packets (so that feasibility — storage never exceeded — is
     enforced in one place); protocols may remove packets (ack-driven
-    cleanup, §4.2) and inspect contents. Iteration order is by packet id,
-    which keeps runs deterministic.
+    cleanup, §4.2) and inspect contents.
 
     Internally the store is a dense entry array indexed by an id→slot
-    table: add/remove are O(1), and {!entries} serves a cached id-sorted
-    snapshot versioned by {!epoch}, rebuilt only after a mutation instead
-    of sorted per call. *)
+    table: add/remove are O(1) and {!fold_unordered} walks the slots
+    directly. Slot order depends on the mutation history, so a consumer
+    whose output would show the walk order either ranks by a total order
+    of its own (every protocol plan) or pays one id sort through
+    {!entries}. *)
 
 type entry = {
   packet : Packet.t;
@@ -30,8 +31,7 @@ val count : t -> int
 
 val epoch : t -> int
 (** Bumped on every mutation (add, remove, clear); versions caches built
-    from the buffer's contents, e.g. the {!entries} snapshot and RAPID's
-    per-contact position indexes. *)
+    from the buffer's contents, e.g. RAPID's position indexes. *)
 
 val removals : t -> int
 (** Bumped only when entries leave the buffer (remove, clear). While it
@@ -64,13 +64,11 @@ val clear : t -> Packet.t list
     order. *)
 
 val entries : t -> entry list
-(** Sorted by packet id. The returned list is a cached snapshot shared
-    between calls: treat it as immutable and do not hold it across
-    buffer mutations. *)
-
-val fold : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
-(** Fold in packet-id order. *)
+(** Sorted by packet id: a fresh O(n log n) sort per call, counted by
+    [buffer.rebuilds]. For the few consumers whose output shows the
+    order (a random sample or shuffle over the contents); hot paths use
+    {!fold_unordered}. *)
 
 val fold_unordered : t -> init:'a -> f:('a -> entry -> 'a) -> 'a
-(** Fold in slot order (hot paths that don't care about order; still
-    deterministic for a given mutation history). *)
+(** Fold in slot order: deterministic for a given mutation history, but
+    two histories reaching the same contents may walk it differently. *)

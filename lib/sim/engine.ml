@@ -243,6 +243,23 @@ let run ?(options = default_options) ?(tracer = Tracer.null) ~protocol
      a node that crashes "at" a meeting misses it with empty buffers. *)
   let contacts = trace.Trace.contacts in
   let specs = Array.of_list workload in
+  (* The merge below, and protocols that rely on a fresh packet being the
+     newest anywhere (RAPID's O(1) queue position), need creation times
+     that never decrease; an out-of-order spec would be created after
+     contacts that should have carried it. *)
+  Array.iteri
+    (fun i (s : Workload.spec) ->
+      let created = s.Workload.created in
+      if not (Float.is_finite created) then
+        invalid_arg
+          (Printf.sprintf "Engine.run: workload spec %d has non-finite created %g"
+             i created);
+      if i > 0 && created < specs.(i - 1).Workload.created then
+        invalid_arg
+          (Printf.sprintf
+             "Engine.run: workload spec %d created at %g, before spec %d at %g"
+             i created (i - 1) specs.(i - 1).Workload.created))
+    specs;
   let reboots = Faults.reboots plan in
   (* Run-lifetime duplicate-offer guard, cleared per contact inside
      run_contact instead of allocated fresh for each of them. *)

@@ -36,7 +36,10 @@ val run :
   workload:Rapid_trace.Workload.spec list ->
   unit ->
   result
-(** The single engine entry point. [tracer] receives a structured event
+(** The single engine entry point. [workload] must be sorted by creation
+    time with finite times (packet ids are handed out in list order);
+    otherwise [Invalid_argument] names the first offending spec. [tracer]
+    receives a structured event
     per contact, transfer, delivery, drop, ack purge and per-contact
     metadata total; the default null tracer is free (emission sites do
     not even build the event). *)

@@ -35,3 +35,5 @@ val has_packet : t -> node:int -> packet:Packet.t -> bool
     delivered packets; §3.1). *)
 
 val buffered_entries : t -> int -> Buffer.entry list
+(** The node's buffer sorted by packet id ({!Buffer.entries}: one sort
+    per call). *)

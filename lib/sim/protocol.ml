@@ -100,12 +100,18 @@ module Ack_store = struct
     t.consumed.(b).(a) <- t.nodes.(b).len;
     !new_entries
 
+  (* Victims are reported in descending id order — the order the
+     id-sorted walk this replaces produced — so the purge events and
+     callbacks do not depend on the buffer's slot order. They are few
+     (acks learned since the last meeting), so the sort is cheap. *)
   let purge t env ~now ~node ~on_purge =
     let buffer = env.Env.buffers.(node) in
     let victims =
-      Buffer.fold buffer ~init:[] ~f:(fun acc entry ->
+      Buffer.fold_unordered buffer ~init:[] ~f:(fun acc entry ->
           let id = entry.Buffer.packet.Packet.id in
           if knows t ~node ~packet_id:id then entry.Buffer.packet :: acc else acc)
+      |> List.sort (fun (x : Packet.t) (y : Packet.t) ->
+             Int.compare y.Packet.id x.Packet.id)
     in
     List.iter
       (fun p ->

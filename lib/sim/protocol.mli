@@ -108,7 +108,8 @@ module Ack_store : sig
       except a source's own undelivered packets are never purged —
       guaranteed trivially because acks exist only for delivered packets.
       Each removal is reported through [Env.on_ack_purge] (at [now]) so
-      the engine's metrics see it. *)
+      the engine's metrics see it; removals (and [on_purge] calls) run in
+      descending packet id order. *)
 end
 
 val split_direct :

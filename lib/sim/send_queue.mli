@@ -54,4 +54,5 @@ val next :
 
 val candidates : Env.t -> sender:int -> receiver:int -> Buffer.entry list
 (** Entries buffered at [sender] and absent at [receiver] — the raw input
-    protocols rank (no budget filtering; {!next} re-validates). *)
+    protocols rank (no budget filtering; {!next} re-validates). In no
+    particular order: callers rank with a total order of their own. *)

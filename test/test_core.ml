@@ -953,11 +953,146 @@ let prop_rate_cache_stamps_sound =
       done;
       !ok)
 
+let prop_delta_matches_reference =
+  (* The flat delta (Replica_db.ship_delta over int-key backlogs) against
+     the tuple-keyed reference it replaced, in lockstep over random
+     histories: first-hand writes, stale and fresh gossip, holder drops,
+     acks (packet removals), and exchanges between random pairs with
+     random entry budgets — in-band, or Local_only with a random
+     per-node eligibility table. After every exchange the shipped
+     sequence and the pair's backlog set must agree, and at the end every
+     db must hold the same holders and the same update-log order. *)
+  QCheck.Test.make ~name:"flat delta = tuple-keyed reference" ~count:150
+    QCheck.(triple (int_range 0 100_000) bool (int_range 1 150))
+    (fun (seed, local_only, steps) ->
+      let rng = Rapid_prelude.Rng.create seed in
+      let n = 4 and num_packets = 10 in
+      let packets =
+        Array.init num_packets (fun id ->
+            packet ~id ~src:(id mod n) ~dst:((id + 1) mod n) ())
+      in
+      let buffered =
+        Array.init n (fun _ ->
+            Array.init num_packets (fun _ -> Rapid_prelude.Rng.bool rng))
+      in
+      let eligible sender packet_id =
+        (not local_only) || buffered.(sender).(packet_id)
+      in
+      let flat = Array.init n (fun _ -> Replica_db.create ()) in
+      let refr = Array.init n (fun _ -> Replica_db.create ()) in
+      let scratch = Replica_db.delta_scratch () in
+      let flat_backlog =
+        Array.init (n * n) (fun _ -> Rapid_prelude.Sortbuf.create ())
+      in
+      let ref_backlog = Array.make (n * n) None in
+      let since = Array.make (n * n) neg_infinity in
+      let clock = ref 0.0 in
+      let ok = ref true in
+      let key_of (p : Packet.t) holder_id = (p.Packet.id * n) + holder_id in
+      for _ = 1 to steps do
+        (* Time advances by 0, 1 or 2: ties on updated_at are common. *)
+        clock := !clock +. float_of_int (Rapid_prelude.Rng.int rng 3);
+        let node = Rapid_prelude.Rng.int rng n in
+        let pid = Rapid_prelude.Rng.int rng num_packets in
+        let holder_id = Rapid_prelude.Rng.int rng n in
+        match Rapid_prelude.Rng.int rng 10 with
+        | 0 | 1 | 2 ->
+            let n_meet = 1 + Rapid_prelude.Rng.int rng 5 in
+            Replica_db.set_holder flat.(node) ~packet:packets.(pid)
+              ~holder_id ~n_meet ~now:!clock;
+            Replica_db.set_holder refr.(node) ~packet:packets.(pid)
+              ~holder_id ~n_meet ~now:!clock
+        | 3 ->
+            let holder =
+              {
+                Replica_db.n_meet = 1 + Rapid_prelude.Rng.int rng 5;
+                updated_at = Rapid_prelude.Rng.float rng *. (!clock +. 1.0);
+              }
+            in
+            ignore (Replica_db.merge flat.(node) ~packet:packets.(pid) ~holder_id ~holder);
+            ignore (Replica_db.merge refr.(node) ~packet:packets.(pid) ~holder_id ~holder)
+        | 4 ->
+            Replica_db.remove_holder flat.(node) ~packet_id:pid ~holder_id;
+            Replica_db.remove_holder refr.(node) ~packet_id:pid ~holder_id
+        | 5 ->
+            Replica_db.remove_packet flat.(node) ~packet_id:pid;
+            Replica_db.remove_packet refr.(node) ~packet_id:pid
+        | _ ->
+            let sender = node in
+            let receiver = (sender + 1 + Rapid_prelude.Rng.int rng (n - 1)) mod n in
+            let pair = (sender * n) + receiver in
+            let budget = Rapid_prelude.Rng.int rng 7 in
+            let shipped_flat = ref [] in
+            let sent =
+              Replica_db.ship_delta scratch flat.(sender) ~num_nodes:n
+                ~since:since.(pair) ~eligible:(eligible sender)
+                ~backlog:flat_backlog.(pair) ~budget
+                ~ship:(fun packet ~holder_id holder ->
+                  shipped_flat :=
+                    (key_of packet holder_id, holder) :: !shipped_flat;
+                  ignore
+                    (Replica_db.merge flat.(receiver) ~packet ~holder_id
+                       ~holder))
+            in
+            let shipped_ref, backlog =
+              Delta_reference.ship_delta refr.(sender) ~since:since.(pair)
+                ~eligible:(eligible sender) ~backlog:ref_backlog.(pair)
+                ~budget
+            in
+            List.iter
+              (fun (e : Replica_db.entry) ->
+                ignore
+                  (Replica_db.merge refr.(receiver) ~packet:e.Replica_db.packet
+                     ~holder_id:e.Replica_db.holder_id
+                     ~holder:e.Replica_db.holder))
+              shipped_ref;
+            ref_backlog.(pair) <- backlog;
+            since.(pair) <- !clock;
+            let shipped_ref =
+              List.map
+                (fun (e : Replica_db.entry) ->
+                  (key_of e.Replica_db.packet e.Replica_db.holder_id,
+                   e.Replica_db.holder))
+                shipped_ref
+            in
+            let flat_keys = ref [] in
+            Rapid_prelude.Sortbuf.iteri flat_backlog.(pair) (fun _ k ->
+                flat_keys := k :: !flat_keys);
+            let ref_keys =
+              match backlog with
+              | None -> []
+              | Some set ->
+                  Hashtbl.fold (fun (pid, hid) () acc -> ((pid * n) + hid) :: acc)
+                    set []
+            in
+            if
+              sent <> List.length shipped_ref
+              || List.rev !shipped_flat <> shipped_ref
+              || List.sort Int.compare !flat_keys
+                 <> List.sort Int.compare ref_keys
+            then ok := false
+      done;
+      let same_db a b =
+        List.for_all
+          (fun pid ->
+            Replica_db.holders a ~packet_id:pid = Replica_db.holders b ~packet_id:pid)
+          (List.init num_packets Fun.id)
+        && List.map
+             (fun (e : Replica_db.entry) ->
+               (e.Replica_db.packet.Packet.id, e.Replica_db.holder_id))
+             (Replica_db.entries_since a neg_infinity)
+           = List.map
+               (fun (e : Replica_db.entry) ->
+                 (e.Replica_db.packet.Packet.id, e.Replica_db.holder_id))
+               (Replica_db.entries_since b neg_infinity)
+      in
+      !ok && Array.for_all2 same_db flat refr)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nmeet_monotone_in_position; prop_more_holders_never_slower;
       prop_rapid_meta_cap_respected; prop_lazy_rows_equal_full_closure;
-      prop_rate_cache_stamps_sound ]
+      prop_rate_cache_stamps_sound; prop_delta_matches_reference ]
 
 let () =
   Alcotest.run "core"

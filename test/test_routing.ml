@@ -14,6 +14,147 @@ let spec ~src ~dst ?(size = 10) ?(created = 0.0) ?deadline () =
   { Workload.src; dst; size; created; deadline }
 
 (* ------------------------------------------------------------------ *)
+(* Slot-order independence: buffers are walked in slot order, which
+   depends on the add/remove history. Two histories reaching the same
+   contents must yield the same victims, ack-purge order and plans. *)
+
+(* Node 0's contents as (id, src, dst, size, created, hops): ids 2 and 5
+   tie on MaxProp's (hops, cost); ids 1 and 6 are destined to node 1. *)
+let slot_packets =
+  [
+    (0, 0, 2, 10, 0.0, 0); (1, 0, 1, 20, 1.0, 0); (2, 3, 2, 10, 2.0, 3);
+    (3, 0, 3, 30, 3.0, 1); (4, 2, 3, 10, 4.0, 2); (5, 3, 2, 10, 5.0, 3);
+    (6, 0, 1, 10, 6.0, 0); (7, 2, 4, 15, 7.0, 1); (8, 0, 4, 10, 8.0, 0);
+    (9, 1, 4, 10, 8.5, 1);
+  ]
+
+let slot_entry id =
+  let _, src, dst, size, created, hops =
+    List.find (fun (i, _, _, _, _, _) -> i = id) slot_packets
+  in
+  {
+    Buffer.packet = Packet.of_spec ~id (spec ~src ~dst ~size ~created ());
+    received = created;
+    hops;
+  }
+
+(* Node 0 ends up holding ids 0..8 either way; node 1 holds id 4. *)
+let slot_env history =
+  let env =
+    Env.create ~num_nodes:5 ~duration:100.0 ~buffer_capacity:None ~seed:3
+  in
+  List.iter
+    (fun id ->
+      if id >= 0 then Buffer.add env.Env.buffers.(0) (slot_entry id)
+      else ignore (Buffer.remove env.Env.buffers.(0) (-id - 1)))
+    history;
+  Buffer.add env.Env.buffers.(1) (slot_entry 4);
+  env
+
+let ascending = List.init 9 Fun.id
+
+(* [-k - 1] removes id k. *)
+let scrambled = [ 8; 2; 9; 5; 0; 7; 3; 1; 6; 4; -10; -3; 2 ]
+
+let slot_order env =
+  Buffer.fold_unordered env.Env.buffers.(0) ~init:[]
+    ~f:(fun acc (e : Buffer.entry) -> e.Buffer.packet.Packet.id :: acc)
+
+let slot_trace =
+  Trace.create ~num_nodes:5 ~duration:100.0
+    [
+      Contact.make ~time:10.0 ~a:0 ~b:1 ~bytes:100;
+      Contact.make ~time:20.0 ~a:1 ~b:2 ~bytes:100;
+      Contact.make ~time:30.0 ~a:0 ~b:3 ~bytes:100;
+    ]
+
+(* Both plans of a 0-1 meeting at t=10, drained without transfers, then
+   node 0's eviction victim for a foreign newcomer. *)
+let slot_outcome (protocol : Protocol.packed) env =
+  let (module P) = protocol in
+  let st = P.create env in
+  List.iter
+    (fun id ->
+      let p = (slot_entry id).Buffer.packet in
+      if p.Packet.src = 0 then P.on_created st ~now:p.Packet.created p)
+    ascending;
+  ignore
+    (P.on_contact st
+       { Protocol.now = 10.0; a = 0; b = 1; budget = 1000; meta_budget = None;
+         meta_ok = true });
+  let drain sender receiver =
+    let rec go acc =
+      match P.next_packet st ~now:10.0 ~sender ~receiver ~budget:1000 with
+      | None -> List.rev acc
+      | Some p -> go (p.Packet.id :: acc)
+    in
+    go []
+  in
+  let ab = drain 0 1 in
+  let ba = drain 1 0 in
+  let incoming = Packet.of_spec ~id:20 (spec ~src:3 ~dst:4 ()) in
+  let victim =
+    Option.map
+      (fun (p : Packet.t) -> p.Packet.id)
+      (P.drop_candidate st ~now:10.0 ~node:0 ~incoming)
+  in
+  (ab, ba, victim)
+
+let test_slot_order_independence () =
+  let a = slot_env ascending and b = slot_env scrambled in
+  Alcotest.(check (list int)) "same contents"
+    (List.sort Int.compare (slot_order a))
+    (List.sort Int.compare (slot_order b));
+  Alcotest.(check bool) "different slot orders" true
+    (slot_order a <> slot_order b);
+  let protocols =
+    [
+      ("maxprop", (fun () -> Maxprop.make ()), Some 2);
+      ("prophet", (fun () -> Prophet.make ()), Some 0);
+      ("oracle", (fun () -> Oracle_forwarding.make ~trace:slot_trace ()), Some 7);
+      ("epidemic", (fun () -> Epidemic.make ()), None);
+      ("direct", (fun () -> Direct.make ()), None);
+      ("spraywait", (fun () -> Spray_wait.make ()), None);
+      ("random", (fun () -> Random_protocol.make ()), None);
+      ( "random sv",
+        (fun () -> Random_protocol.make ~summary_vector:true ()),
+        None );
+      ( "rapid",
+        (fun () -> Rapid_core.Rapid.make_default Rapid_core.Metric.Average_delay),
+        None );
+    ]
+  in
+  List.iter
+    (fun (name, make, want_victim) ->
+      let ab, ba, victim = slot_outcome (make ()) (slot_env ascending) in
+      let ab', ba', victim' = slot_outcome (make ()) (slot_env scrambled) in
+      Alcotest.(check (list int)) (name ^ " plan 0->1") ab ab';
+      Alcotest.(check (list int)) (name ^ " plan 1->0") ba ba';
+      Alcotest.(check (option int)) (name ^ " victim") victim victim';
+      match want_victim with
+      | Some v -> Alcotest.(check (option int)) (name ^ " tie to lowest id") (Some v) victim
+      | None -> ())
+    protocols;
+  let purge_order env =
+    let acks = Protocol.Ack_store.create ~num_nodes:5 in
+    List.iter
+      (fun id -> Protocol.Ack_store.learn acks ~node:0 ~packet_id:id)
+      [ 5; 1; 8; 3 ];
+    let hooked = ref [] and called = ref [] in
+    env.Env.on_ack_purge <-
+      (fun ~now:_ ~node:_ p -> hooked := p.Packet.id :: !hooked);
+    Protocol.Ack_store.purge acks env ~now:1.0 ~node:0 ~on_purge:(fun p ->
+        called := p.Packet.id :: !called);
+    (List.rev !hooked, List.rev !called)
+  in
+  let hooked, called = purge_order (slot_env ascending) in
+  let hooked', called' = purge_order (slot_env scrambled) in
+  Alcotest.(check (list int)) "ack purge, descending id" [ 8; 5; 3; 1 ] called;
+  Alcotest.(check (list int)) "env hook in callback order" called hooked;
+  Alcotest.(check (list int)) "same purge order" called called';
+  Alcotest.(check (list int)) "same hook order" hooked hooked'
+
+(* ------------------------------------------------------------------ *)
 (* Spray and Wait *)
 
 let test_spray_wait_limits_copies () =
@@ -477,6 +618,11 @@ let qcheck_cases =
 let () =
   Alcotest.run "routing"
     [
+      ( "slot order",
+        [
+          Alcotest.test_case "walk order never shows" `Quick
+            test_slot_order_independence;
+        ] );
       ( "spray_wait",
         [
           Alcotest.test_case "copies limited" `Quick test_spray_wait_limits_copies;

@@ -156,13 +156,8 @@ let test_buffer_epoch_and_clear () =
   Buffer.add b (entry (packet ~id:1 ~src:0 ~dst:1 ()));
   Alcotest.(check bool) "adds bump epoch" true (Buffer.epoch b > e0);
   Alcotest.(check int) "adds do not bump removals" r0 (Buffer.removals b);
-  let snap1 = Buffer.entries b in
-  let snap2 = Buffer.entries b in
-  Alcotest.(check bool) "snapshot cached between calls" true (snap1 == snap2);
   ignore (Buffer.remove b 0);
   Alcotest.(check int) "remove bumps removals" (r0 + 1) (Buffer.removals b);
-  Alcotest.(check bool) "snapshot rebuilt after mutation" true
-    (Buffer.entries b != snap1);
   Buffer.add b (entry (packet ~id:2 ~src:0 ~dst:1 ()));
   let lost = Buffer.clear b in
   Alcotest.(check (list int)) "clear returns the stored packets" [ 1; 2 ]
@@ -613,6 +608,38 @@ let test_engine_empty_workload () =
   Alcotest.(check int) "nothing moved" 0 report.Metrics.transfers;
   Alcotest.(check int) "contact observed" 1 report.Metrics.num_contacts
 
+let test_engine_rejects_unsorted_workload () =
+  (* Packet ids follow list order and the merge loop assumes creation
+     times never decrease: an out-of-order spec would be created after
+     contacts that should have carried it. The engine refuses, naming the
+     first offending spec. *)
+  let trace =
+    Trace.create ~num_nodes:3 ~duration:10.0
+      [ Contact.make ~time:1.0 ~a:0 ~b:1 ~bytes:100 ]
+  in
+  let run workload =
+    ignore (Engine.run ~protocol:(Rapid_routing.Epidemic.make ()) ~trace ~workload ())
+  in
+  Alcotest.check_raises "decreasing created"
+    (Invalid_argument "Engine.run: workload spec 2 created at 0.5, before spec 1 at 2")
+    (fun () ->
+      run
+        [
+          spec ~src:0 ~dst:1 ~created:0.0 ();
+          spec ~src:0 ~dst:2 ~created:2.0 ();
+          spec ~src:1 ~dst:2 ~created:0.5 ();
+          spec ~src:1 ~dst:0 ~created:0.1 ();
+        ]);
+  Alcotest.check_raises "nan created"
+    (Invalid_argument "Engine.run: workload spec 1 has non-finite created nan")
+    (fun () ->
+      run [ spec ~src:0 ~dst:1 ~created:0.0 (); spec ~src:0 ~dst:2 ~created:nan () ]);
+  Alcotest.check_raises "infinite created"
+    (Invalid_argument "Engine.run: workload spec 0 has non-finite created inf")
+    (fun () -> run [ spec ~src:0 ~dst:1 ~created:infinity () ]);
+  (* Equal creation times are in order. *)
+  run [ spec ~src:0 ~dst:1 ~created:1.0 (); spec ~src:0 ~dst:2 ~created:1.0 () ]
+
 let test_engine_zero_byte_contact () =
   (* A zero-size opportunity carries nothing but still counts as a meeting
      (protocols learn from it). *)
@@ -1059,6 +1086,8 @@ let () =
             test_engine_duplicate_push_wastes_bandwidth;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "empty workload" `Quick test_engine_empty_workload;
+          Alcotest.test_case "rejects unsorted workload" `Quick
+            test_engine_rejects_unsorted_workload;
           Alcotest.test_case "zero byte contact" `Quick test_engine_zero_byte_contact;
           Alcotest.test_case "packet bigger than buffer" `Quick
             test_engine_packet_bigger_than_buffer;
