@@ -156,38 +156,25 @@ let figure_cmd =
 
 let protocol_conv metric =
   let open Rapid_core in
+  let rapid_on label channel =
+    Ok
+      {
+        Runners.label;
+        protocol =
+          Runners.Rapid { (Rapid.default_params metric) with Rapid.channel };
+      }
+  in
   function
   | "rapid" -> Ok (Runners.rapid metric)
-  | "rapid-global" ->
-      Ok
-        (Runners.rapid_with ~label:"RAPID(global)"
-           {
-             (Rapid.default_params metric) with
-             Rapid.channel = Control_channel.Instant_global;
-           })
-  | "rapid-local" ->
-      Ok
-        (Runners.rapid_with ~label:"RAPID(local)"
-           {
-             (Rapid.default_params metric) with
-             Rapid.channel = Control_channel.Local_only;
-           })
+  | "rapid-global" -> rapid_on "RAPID(global)" Control_channel.Instant_global
+  | "rapid-local" -> rapid_on "RAPID(local)" Control_channel.Local_only
   | "maxprop" -> Ok Runners.maxprop
   | "spraywait" -> Ok Runners.spray_wait
   | "prophet" -> Ok Runners.prophet
   | "random" -> Ok Runners.random
   | "random-acks" -> Ok Runners.random_acks
-  | "epidemic" ->
-      Ok
-        {
-          Runners.label = "Epidemic";
-          cache_id = "epidemic";
-          make = (fun () -> Rapid_routing.Epidemic.make ());
-        }
-  | "direct" ->
-      Ok
-        { Runners.label = "Direct"; cache_id = "direct";
-          make = (fun () -> Rapid_routing.Direct.make ()) }
+  | "epidemic" -> Ok Runners.epidemic
+  | "direct" -> Ok Runners.direct
   | s -> Error (Printf.sprintf "unknown protocol %S" s)
 
 let metric_of_string = function
@@ -246,7 +233,7 @@ let run_cmd =
         | Error e ->
             prerr_endline e;
             exit 1
-        | Ok spec ->
+        | Ok protocol ->
             let params = Params.get profile in
             let with_tracer f =
               match events_path with
@@ -278,39 +265,26 @@ let run_cmd =
                                Rapid_sim.Engine.default_options with
                                Rapid_sim.Engine.faults;
                              }
-                           ~protocol:(spec.Runners.make ()) ~trace ~workload ())
+                           ~protocol:(Runners.make protocol.Runners.protocol)
+                           ~trace ~workload ())
                           .Rapid_sim.Engine.report;
                       ]
                   | None ->
+                      let spec = { Runners.default_spec with Runners.faults } in
                       if Rapid_obs.Tracer.enabled tracer then
                         (* Tracing needs live runs, not cached reports —
                            and a single ordered event stream, so this
                            path stays sequential regardless of --jobs. *)
-                        List.init params.Params.days (fun day ->
-                            let trace = Runners.trace_day ~params ~day in
-                            let workload =
-                              Runners.trace_workload ~params ~trace ~load ~day
-                            in
-                            (Rapid_sim.Engine.run ~tracer
-                               ~options:
-                                 {
-                                   Rapid_sim.Engine.buffer_bytes =
-                                     params.Params.trace_buffer_bytes;
-                                   meta_cap_frac = None;
-                                   seed = params.Params.base_seed + day;
-                                   faults;
-                                 }
-                               ~protocol:(spec.Runners.make ()) ~trace ~workload
-                               ())
-                              .Rapid_sim.Engine.report)
+                        List.init params.Params.days
+                          (Runners.trace_cell ~tracer ~params
+                             ~protocol:protocol.Runners.protocol ~load ~spec)
                       else
-                        Runners.run_trace_point ~params ~protocol:spec ~load
-                          ~spec:{ Runners.default_spec with Runners.faults }
-                          ())
+                        Runners.run_trace_point ~params ~protocol ~load
+                          ~spec ())
             in
             List.iteri
               (fun day r ->
-                Format.printf "day %d %s: %a@." day spec.Runners.label
+                Format.printf "day %d %s: %a@." day protocol.Runners.label
                   Rapid_sim.Metrics.pp_report r)
               reports;
             Option.iter
@@ -320,7 +294,7 @@ let run_cmd =
                   (Json.Obj
                      [
                        ("schema", Json.String "rapid-run/1");
-                       ("protocol", Json.String spec.Runners.label);
+                       ("protocol", Json.String protocol.Runners.label);
                        ("metric", Json.String metric_name);
                        ("load", Json.Float load);
                        ("profile", Json.String (profile_string profile));

@@ -141,6 +141,32 @@ if [ "$FAULT_HASH" != "$FAULT_GOLDEN" ]; then
   exit 1
 fi
 
+# Ablation smoke: every RAPID variant is its own point. The "h = 1" and
+# "h = 2" rows must differ from the defaults row (a point key that left
+# h_hops out once served all three from one point), and the artifact
+# member is pinned by MD5.
+echo "== ablations =="
+ABL_JSON="${TMPDIR:-/tmp}/rapid_ablations.json"
+ABL_TXT="${TMPDIR:-/tmp}/rapid_ablations.txt"
+"$RAPID_BIN" figure -i ablations --json "$ABL_JSON" > "$ABL_TXT"
+# A row's numbers: the label is padded to 26 columns.
+ablation_row() { grep -F "$1" "$ABL_TXT" | cut -c27-; }
+ABL_DEFAULTS="$(ablation_row 'RAPID (defaults)')"
+[ -n "$ABL_DEFAULTS" ]
+for variant in 'h = 1 (direct only)' 'h = 2  '; do
+  ABL_ROW="$(ablation_row "$variant")"
+  if [ -z "$ABL_ROW" ] || [ "$ABL_ROW" = "$ABL_DEFAULTS" ]; then
+    echo "ablation row '$variant' is missing or equals the defaults row" >&2
+    exit 1
+  fi
+done
+ABL_GOLDEN="5931248dd86d8953d0bcb3b096fac80c"
+ABL_HASH="$("$JSON_MEMBER_BIN" "$ABL_JSON" artifact | md5sum | cut -d' ' -f1)"
+if [ "$ABL_HASH" != "$ABL_GOLDEN" ]; then
+  echo "ablations artifact hash mismatch: $ABL_HASH != $ABL_GOLDEN" >&2
+  exit 1
+fi
+
 # Point-store smoke: four contracts of lib/store via the CLI.
 #   1. A warm --cache-dir rerun's artifact is byte-identical to the cold
 #      run's (the full JSON differs only in live engine counters, so the

@@ -6,12 +6,16 @@ let fig14 (params : Params.t) =
     [
       Runners.random;
       Runners.random_acks;
-      Runners.rapid_with ~label:"RAPID local"
-        {
-          (Rapid.default_params Metric.Average_delay) with
-          Rapid.channel = Control_channel.Local_only;
-        };
-      Runners.rapid_with ~label:"RAPID" (Rapid.default_params Metric.Average_delay);
+      {
+        Runners.label = "RAPID local";
+        protocol =
+          Runners.Rapid
+            {
+              (Rapid.default_params Metric.Average_delay) with
+              Rapid.channel = Control_channel.Local_only;
+            };
+      };
+      Runners.rapid Metric.Average_delay;
     ]
   in
   let lines =

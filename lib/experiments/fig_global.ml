@@ -2,20 +2,20 @@ open Rapid_sim
 open Rapid_core
 
 let channels metric =
+  let base = Rapid.default_params metric in
   [
-    ( "in-band",
-      Runners.rapid_with ~label:"in-band" (Rapid.default_params metric) );
-    ( "global",
-      Runners.rapid_with ~label:"global"
-        {
-          (Rapid.default_params metric) with
-          Rapid.channel = Control_channel.Instant_global;
-        } );
+    { Runners.label = "in-band"; protocol = Runners.Rapid base };
+    {
+      Runners.label = "global";
+      protocol =
+        Runners.Rapid
+          { base with Rapid.channel = Control_channel.Instant_global };
+    };
   ]
 
 let sweep ~params ~metric ~extract =
   List.map
-    (fun (label, protocol) ->
+    (fun ({ Runners.label; _ } as protocol) ->
       let points =
         List.map
           (fun load ->

@@ -16,18 +16,17 @@ let fig13 (params : Params.t) =
   let loads = [ 0.5; 1.0; 2.0; 4.0; 6.0 ] in
   let frac = 0.15 in
   let days = min params.Params.days 3 in
+  let rapid = Rapid.default_params Metric.Average_delay in
   let protos =
     [
-      ( "RAPID in-band",
-        Runners.rapid_with ~label:"in-band"
-          (Rapid.default_params Metric.Average_delay) );
-      ( "RAPID global",
-        Runners.rapid_with ~label:"global"
-          {
-            (Rapid.default_params Metric.Average_delay) with
-            Rapid.channel = Control_channel.Instant_global;
-          } );
-      ("MaxProp", Runners.maxprop);
+      { Runners.label = "RAPID in-band"; protocol = Runners.Rapid rapid };
+      {
+        Runners.label = "RAPID global";
+        protocol =
+          Runners.Rapid
+            { rapid with Rapid.channel = Control_channel.Instant_global };
+      };
+      Runners.maxprop;
     ]
   in
   let per_day load day =
@@ -68,7 +67,7 @@ let fig13 (params : Params.t) =
   in
   let protocol_lines =
     List.map
-      (fun (label, (proto : Runners.protocol_spec)) ->
+      (fun { Runners.label; protocol } ->
         {
           Series.label;
           points =
@@ -78,7 +77,7 @@ let fig13 (params : Params.t) =
                   Rapid_par.Pool.init days (fun day ->
                       let trace, workload = per_day load day in
                       let r =
-                        (Engine.run ~protocol:(proto.Runners.make ()) ~trace
+                        (Engine.run ~protocol:(Runners.make protocol) ~trace
                            ~workload ())
                           .Engine.report
                       in

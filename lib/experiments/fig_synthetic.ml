@@ -3,20 +3,6 @@ open Rapid_core
 
 type axis = Load | Buffer
 
-(* Figures 16–18 (and 19–21, 22–24) share their baseline runs: MaxProp /
-   Spray-and-Wait / Random do not depend on RAPID's metric, so each
-   (protocol, mobility, axis, x) point is computed once per process. *)
-let point_cache : (string * string * string * float, Runners.point) Hashtbl.t =
-  Hashtbl.create 64
-
-let cached ~key run =
-  match Hashtbl.find_opt point_cache key with
-  | Some pt -> pt
-  | None ->
-      let pt = run () in
-      Hashtbl.replace point_cache key pt;
-      pt
-
 let extract_for = function
   | `Avg -> fun (r : Metrics.report) -> r.Metrics.avg_delay
   | `Max -> fun (r : Metrics.report) -> r.Metrics.max_delay
@@ -32,9 +18,9 @@ let y_label_for = function
   | `Max -> "max delay (s)"
   | `Deadline -> "fraction within deadline"
 
-let mobility_tag = function `Powerlaw -> "powerlaw" | `Exponential -> "exp"
-let axis_tag = function Load -> "load" | Buffer -> "buffer"
-
+(* Figures 16–18 (and 19–21, 22–24) share their baseline points through
+   the runners' memo: the keys of MaxProp, Spray-and-Wait and Random do
+   not depend on RAPID's metric. *)
 let sweep ~(params : Params.t) ~mobility ~axis ~which =
   let protocols = Runners.comparison_set (metric_for which) in
   let extract = extract_for which in
@@ -59,18 +45,7 @@ let sweep ~(params : Params.t) ~mobility ~axis ~which =
       {
         Series.label = p.Runners.label;
         points =
-          List.map
-            (fun x ->
-              (* RAPID's runs depend on its metric; the baselines do not
-                 and are shared across the three figures of a family. *)
-              let key_label =
-                if p.Runners.label = "RAPID" then
-                  "RAPID/" ^ Metric.to_string (metric_for which)
-                else p.Runners.label
-              in
-              let key = (key_label, mobility_tag mobility, axis_tag axis, x) in
-              (x, Runners.mean_of (cached ~key (fun () -> runner p x)) extract))
-            xs;
+          List.map (fun x -> (x, Runners.mean_of (runner p x) extract)) xs;
       })
     protocols
 

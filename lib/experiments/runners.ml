@@ -7,57 +7,36 @@ module Faults = Rapid_faults.Faults
 module Store = Rapid_store.Store
 module Json = Rapid_obs.Json
 
-type protocol_spec = {
-  label : string;
-  cache_id : string;
-  make : unit -> Protocol.packed;
-}
+type protocol =
+  | Rapid of Rapid.params
+  | Maxprop
+  | Spray_wait of int
+  | Prophet
+  | Random of { acks : bool }
+  | Epidemic
+  | Direct
 
-let rapid_cache_id (p : Rapid.params) =
-  Printf.sprintf "rapid:%s:%s:%b:%g"
-    (Metric.to_string p.Rapid.metric)
-    (Control_channel.to_string p.Rapid.channel)
-    p.Rapid.use_acks p.Rapid.meta_self_cap_frac
+type protocol_spec = { label : string; protocol : protocol }
+
+let make = function
+  | Rapid p -> Rapid.make p
+  | Maxprop -> Rapid_routing.Maxprop.make ()
+  | Spray_wait l -> Rapid_routing.Spray_wait.make ~l ()
+  | Prophet -> Rapid_routing.Prophet.make ()
+  | Random { acks } -> Rapid_routing.Random_protocol.make ~with_acks:acks ()
+  | Epidemic -> Rapid_routing.Epidemic.make ()
+  | Direct -> Rapid_routing.Direct.make ()
 
 let rapid metric =
-  let params = Rapid.default_params metric in
-  {
-    label = "RAPID";
-    cache_id = rapid_cache_id params;
-    make = (fun () -> Rapid.make params);
-  }
+  { label = "RAPID"; protocol = Rapid (Rapid.default_params metric) }
 
-let rapid_with ?label params =
-  let label =
-    match label with
-    | Some l -> l
-    | None -> "RAPID(" ^ Control_channel.to_string params.Rapid.channel ^ ")"
-  in
-  { label; cache_id = rapid_cache_id params; make = (fun () -> Rapid.make params) }
-
-let maxprop =
-  { label = "MaxProp"; cache_id = "maxprop";
-    make = (fun () -> Rapid_routing.Maxprop.make ()) }
-
-let spray_wait =
-  { label = "SprayWait"; cache_id = "spraywait12";
-    make = (fun () -> Rapid_routing.Spray_wait.make ~l:12 ()) }
-
-let prophet =
-  { label = "Prophet"; cache_id = "prophet";
-    make = (fun () -> Rapid_routing.Prophet.make ()) }
-
-let random =
-  { label = "Random"; cache_id = "random";
-    make = (fun () -> Rapid_routing.Random_protocol.make ()) }
-
-let random_acks =
-  {
-    label = "Random+acks";
-    cache_id = "random-acks";
-    make = (fun () -> Rapid_routing.Random_protocol.make ~with_acks:true ());
-  }
-
+let maxprop = { label = "MaxProp"; protocol = Maxprop }
+let spray_wait = { label = "SprayWait"; protocol = Spray_wait 12 }
+let prophet = { label = "Prophet"; protocol = Prophet }
+let random = { label = "Random"; protocol = Random { acks = false } }
+let random_acks = { label = "Random+acks"; protocol = Random { acks = true } }
+let epidemic = { label = "Epidemic"; protocol = Epidemic }
+let direct = { label = "Direct"; protocol = Direct }
 let comparison_set metric = [ rapid metric; maxprop; spray_wait; random ]
 
 type point = Metrics.report list
@@ -100,33 +79,241 @@ let default_spec =
     faults = Faults.none;
   }
 
-module Point_key = struct
-  type t = {
-    cache_id : string;
-    load : float;
-    meta_cap_frac : float option;
-    buffer_bytes : int option;  (* resolved: [None] = unlimited storage *)
-    deployment_noise : bool;
-    days : int;
-    base_seed : int;
-    packet_bytes : int;
-    deadline : float;
-    faults : Faults.config;
+type model = Trace_days | Synthetic of [ `Powerlaw | `Exponential ]
+type point_desc = {
+  proto : protocol;
+  model : model;
+  load : float;
+  spec : point_spec;
+}
+
+let buffer_bytes (params : Params.t) model = function
+  | Profile_default -> (
+      match model with
+      | Trace_days -> params.Params.trace_buffer_bytes
+      | Synthetic _ -> Some params.Params.syn_buffer_bytes)
+  | Unlimited -> None
+  | Bytes b -> Some b
+
+(* All-zero-rate configs run the plain engine whatever their seed, so a
+   "faulted at severity 0" point shares its cell with plain points. *)
+let canonical_faults f = if Faults.is_none f then Faults.none else f
+
+let options ~params ~model (spec : point_spec) ~seed =
+  {
+    Engine.buffer_bytes = buffer_bytes params model spec.buffer;
+    meta_cap_frac = spec.meta_cap_frac;
+    seed;
+    faults = canonical_faults spec.faults;
   }
-end
 
-(* Guards [trace_point_cache]: points may be computed from fig drivers
-   that themselves run on pool workers, and the pool makes no promise
-   about which domain executes a task. *)
+(* ------------------------------------------------------------------ *)
+(* The point key: every input a point's reports depend on, derived from
+   the point itself. Each record is destructured field by field, so a
+   field added to any of them does not compile until it is keyed here.
+   [point_schema] versions the key and payload shapes; bump it when
+   either changes so stale cells become unreachable rather than wrong. *)
+
+let point_schema = 2
+
+let opt f = function Some x -> f x | None -> Json.Null
+
+let protocol_key = function
+  | Rapid
+      {
+        Rapid.metric;
+        channel;
+        use_acks;
+        ack_entry_bytes;
+        table_entry_bytes;
+        packet_entry_bytes;
+        h_hops;
+        meta_self_cap_frac;
+        tracer = _;
+      } ->
+      let knobs =
+        [
+          ("metric", Json.String (Metric.to_string metric));
+          ("channel", Json.String (Control_channel.to_string channel));
+          ("use_acks", Json.Bool use_acks);
+          ("ack_entry_bytes", Json.Int ack_entry_bytes);
+          ("table_entry_bytes", Json.Int table_entry_bytes);
+          ("packet_entry_bytes", Json.Int packet_entry_bytes);
+          ("h_hops", Json.Int h_hops);
+          ("meta_self_cap_frac", Json.Float meta_self_cap_frac);
+        ]
+      in
+      Json.Obj [ ("rapid", Json.Obj knobs) ]
+  | Maxprop -> Json.String "maxprop"
+  | Spray_wait l -> Json.Obj [ ("spray_wait", Json.Int l) ]
+  | Prophet -> Json.String "prophet"
+  | Random { acks } -> Json.Obj [ ("random", Json.Bool acks) ]
+  | Epidemic -> Json.String "epidemic"
+  | Direct -> Json.String "direct"
+
+let key (params : Params.t) { proto; model; load; spec } =
+  let {
+    Params.profile = _;
+    dieselnet =
+      {
+        Dieselnet.fleet_size;
+        mean_scheduled;
+        num_routes;
+        day_seconds;
+        meetings_per_day;
+        mean_contact_bytes;
+      };
+    days;
+    trace_loads = _;
+    trace_packet_bytes;
+    trace_deadline;
+    trace_buffer_bytes = _ (* keyed resolved, as [buffer_bytes] *);
+    syn_nodes;
+    syn_duration;
+    syn_mean_inter_meeting;
+    syn_opportunity_bytes;
+    syn_buffer_bytes = _ (* keyed resolved, as [buffer_bytes] *);
+    syn_packet_bytes;
+    syn_deadline;
+    syn_loads = _;
+    syn_buffers = _;
+    syn_runs;
+    base_seed;
+  } =
+    params
+  in
+  let { meta_cap_frac; buffer; deployment_noise; faults } = spec in
+  let {
+    Faults.seed;
+    reboots_per_node;
+    truncate_prob;
+    meta_drop_prob;
+    contact_drop_prob;
+  } =
+    canonical_faults faults
+  in
+  let model_key =
+    match model with
+    | Trace_days ->
+        [
+          ("days", Json.Int days);
+          ("packet_bytes", Json.Int trace_packet_bytes);
+          ("deadline", Json.Float trace_deadline);
+          ( "dieselnet",
+            Json.Obj
+              [
+                ("fleet_size", Json.Int fleet_size);
+                ("mean_scheduled", Json.Int mean_scheduled);
+                ("num_routes", Json.Int num_routes);
+                ("day_seconds", Json.Float day_seconds);
+                ("meetings_per_day", Json.Float meetings_per_day);
+                ("mean_contact_bytes", Json.Float mean_contact_bytes);
+              ] );
+        ]
+    | Synthetic mobility ->
+        [
+          ( "mobility",
+            Json.String
+              (match mobility with
+              | `Powerlaw -> "powerlaw"
+              | `Exponential -> "exponential") );
+          ("runs", Json.Int syn_runs);
+          ("nodes", Json.Int syn_nodes);
+          ("duration", Json.Float syn_duration);
+          ("mean_inter_meeting", Json.Float syn_mean_inter_meeting);
+          ("opportunity_bytes", Json.Int syn_opportunity_bytes);
+          ("packet_bytes", Json.Int syn_packet_bytes);
+          ("deadline", Json.Float syn_deadline);
+        ]
+  in
+  Json.Obj
+    [
+      ("point_schema", Json.Int point_schema);
+      ("protocol", protocol_key proto);
+      ("model", Json.Obj model_key);
+      ("base_seed", Json.Int base_seed);
+      ("load", Json.Float load);
+      ("meta_cap_frac", opt (fun f -> Json.Float f) meta_cap_frac);
+      ( "buffer_bytes",
+        opt (fun b -> Json.Int b) (buffer_bytes params model buffer) );
+      ("deployment_noise", Json.Bool deployment_noise);
+      ( "faults",
+        Json.Obj
+          [
+            ("seed", Json.Int seed);
+            ("reboots_per_node", Json.Float reboots_per_node);
+            ("truncate_prob", Json.Float truncate_prob);
+            ("meta_drop_prob", Json.Float meta_drop_prob);
+            ("contact_drop_prob", Json.Float contact_drop_prob);
+          ] );
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Cells: each day or seed is independent — trace, workload and engine
+   seed all derive from (base_seed, day or run) — so the pool fan-out is
+   bit-identical to the sequential List.init. *)
+
+let trace_cell ?tracer ~(params : Params.t) ~protocol ~load ~spec day =
+  let trace = trace_day ~params ~day in
+  let trace =
+    if spec.deployment_noise then
+      let rng = Rng.create ((params.Params.base_seed * 31) + day) in
+      Dieselnet.with_deployment_noise rng trace
+    else trace
+  in
+  let workload = trace_workload ~params ~trace ~load ~day in
+  (Engine.run ?tracer
+     ~options:
+       (options ~params ~model:Trace_days spec
+          ~seed:(params.Params.base_seed + day))
+     ~protocol:(make protocol) ~trace ~workload ())
+    .Engine.report
+
+let synthetic_cell ~(params : Params.t) ~protocol ~mobility ~load ~spec run =
+  let seed = params.Params.base_seed + (1000 * run) in
+  let rng = Rng.create seed in
+  let num_nodes = params.Params.syn_nodes
+  and mean_inter_meeting = params.Params.syn_mean_inter_meeting
+  and duration = params.Params.syn_duration
+  and opportunity_bytes = params.Params.syn_opportunity_bytes in
+  let trace =
+    match mobility with
+    | `Powerlaw ->
+        Rapid_mobility.Mobility.powerlaw rng ~num_nodes ~mean_inter_meeting
+          ~duration ~opportunity_bytes ()
+    | `Exponential ->
+        Rapid_mobility.Mobility.exponential rng ~num_nodes ~mean_inter_meeting
+          ~duration ~opportunity_bytes
+  in
+  let workload =
+    Workload.generate rng ~trace
+      ~pkts_per_hour_per_dest:(Params.syn_pair_rate_per_hour params load)
+      ~size:params.Params.syn_packet_bytes
+      ~lifetime:params.Params.syn_deadline ()
+  in
+  (Engine.run
+     ~options:(options ~params ~model:(Synthetic mobility) spec ~seed)
+     ~protocol:(make protocol) ~trace ~workload ())
+    .Engine.report
+
+let compute ~(params : Params.t) { proto; model; load; spec } =
+  match model with
+  | Trace_days ->
+      Pool.init params.Params.days
+        (trace_cell ~params ~protocol:proto ~load ~spec)
+  | Synthetic mobility ->
+      Pool.init params.Params.syn_runs
+        (synthetic_cell ~params ~protocol:proto ~mobility ~load ~spec)
+
+(* ------------------------------------------------------------------ *)
+(* One memo, keyed by the store digest of [key], in front of the
+   optional persistent store ([--cache-dir]). Both are touched from
+   pool workers (fig drivers may themselves run on workers, and the pool
+   makes no promise about which domain executes a task), so both sit
+   behind [cache_lock]. *)
+
 let cache_lock = Mutex.create ()
-
-let trace_point_cache : (Point_key.t, Metrics.report list) Hashtbl.t =
-  Hashtbl.create 64
-
-(* The session's persistent point store ([--cache-dir]); [None] — the
-   default — keeps everything exactly as it was before lib/store existed.
-   Shares [cache_lock] with the in-memory cache: both are touched from
-   pool workers. *)
+let memo : (string, point) Hashtbl.t = Hashtbl.create 64
 let session_store : Store.t option ref = ref None
 
 let set_cache_dir = function
@@ -140,78 +327,10 @@ let cache_store () = Mutex.protect cache_lock (fun () -> !session_store)
 
 let reset_point_cache () =
   Mutex.protect cache_lock (fun () ->
-      Hashtbl.reset trace_point_cache;
+      Hashtbl.reset memo;
       (* Also drop the store handle: a test that reset the caches must
          not silently resurrect points from an earlier [set_cache_dir]. *)
       session_store := None)
-
-(* ------------------------------------------------------------------ *)
-(* Persistent store keying: every input a point's reports depend on,
-   spelled out as a self-describing JSON document (the store hashes its
-   canonical form, so field order here is immaterial). [point_schema]
-   versions the *payload* shape — bump it when the report serialization
-   changes so stale cells become unreachable rather than corrupt. *)
-
-let point_schema = 1
-
-let json_opt_int = function Some i -> Json.Int i | None -> Json.Null
-let json_opt_float = function Some f -> Json.Float f | None -> Json.Null
-
-let dieselnet_json (dn : Dieselnet.params) =
-  Json.Obj
-    [
-      ("fleet_size", Json.Int dn.Dieselnet.fleet_size);
-      ("mean_scheduled", Json.Int dn.Dieselnet.mean_scheduled);
-      ("num_routes", Json.Int dn.Dieselnet.num_routes);
-      ("day_seconds", Json.Float dn.Dieselnet.day_seconds);
-      ("meetings_per_day", Json.Float dn.Dieselnet.meetings_per_day);
-      ("mean_contact_bytes", Json.Float dn.Dieselnet.mean_contact_bytes);
-    ]
-
-let trace_store_key ~(params : Params.t) (k : Point_key.t) =
-  Json.Obj
-    [
-      ("kind", Json.String "trace_point");
-      ("point_schema", Json.Int point_schema);
-      ("cache_id", Json.String k.Point_key.cache_id);
-      ("load", Json.Float k.Point_key.load);
-      ("meta_cap_frac", json_opt_float k.Point_key.meta_cap_frac);
-      ("buffer_bytes", json_opt_int k.Point_key.buffer_bytes);
-      ("deployment_noise", Json.Bool k.Point_key.deployment_noise);
-      ("days", Json.Int k.Point_key.days);
-      ("base_seed", Json.Int k.Point_key.base_seed);
-      ("packet_bytes", Json.Int k.Point_key.packet_bytes);
-      ("deadline", Json.Float k.Point_key.deadline);
-      ("faults", Json.String (Faults.spec_string k.Point_key.faults));
-      ("dieselnet", dieselnet_json params.Params.dieselnet);
-    ]
-
-let synthetic_store_key ~(params : Params.t) ~cache_id ~mobility ~load
-    ~(spec : point_spec) ~buffer_bytes ~faults =
-  Json.Obj
-    [
-      ("kind", Json.String "synthetic_point");
-      ("point_schema", Json.Int point_schema);
-      ("cache_id", Json.String cache_id);
-      ( "mobility",
-        Json.String
-          (match mobility with
-          | `Powerlaw -> "powerlaw"
-          | `Exponential -> "exponential") );
-      ("load", Json.Float load);
-      ("meta_cap_frac", json_opt_float spec.meta_cap_frac);
-      ("buffer_bytes", json_opt_int buffer_bytes);
-      ("faults", Json.String (Faults.spec_string faults));
-      ("syn_runs", Json.Int params.Params.syn_runs);
-      ("syn_nodes", Json.Int params.Params.syn_nodes);
-      ("syn_duration", Json.Float params.Params.syn_duration);
-      ( "syn_mean_inter_meeting",
-        Json.Float params.Params.syn_mean_inter_meeting );
-      ("syn_opportunity_bytes", Json.Int params.Params.syn_opportunity_bytes);
-      ("syn_packet_bytes", Json.Int params.Params.syn_packet_bytes);
-      ("syn_deadline", Json.Float params.Params.syn_deadline);
-      ("base_seed", Json.Int params.Params.base_seed);
-    ]
 
 let point_to_json pt = Json.List (List.map Metrics.report_to_json pt)
 
@@ -222,157 +341,43 @@ let point_of_json = function
 (* A cell that parses and checksums but no longer decodes (payload shape
    drift without a point_schema bump) degrades to a recompute, exactly
    like a checksum failure. *)
-let store_find_point s skey =
-  match Store.find s ~key:skey with
+let store_find_point s key =
+  match Store.find s ~key with
   | None -> None
   | Some payload -> (
       match point_of_json payload with
       | pt -> Some pt
       | exception Invalid_argument reason ->
-          Store.note_corrupt s ~key:skey ~reason;
+          Store.note_corrupt s ~key ~reason;
           None)
 
-(* Each day is an independent cell: trace, workload and engine seed all
-   derive from (base_seed, day), so the pool fan-out is bit-identical to
-   the sequential List.init. *)
-let run_trace_point_uncached ~(params : Params.t) ~protocol ~load ~spec
-    ~buffer_bytes ~faults =
-  Pool.init params.Params.days (fun day ->
-      let trace = trace_day ~params ~day in
-      let trace =
-        if spec.deployment_noise then begin
-          let rng = Rng.create ((params.Params.base_seed * 31) + day) in
-          Dieselnet.with_deployment_noise rng trace
-        end
-        else trace
-      in
-      let workload = trace_workload ~params ~trace ~load ~day in
-      (Engine.run
-         ~options:
-           {
-             Engine.buffer_bytes;
-             meta_cap_frac = spec.meta_cap_frac;
-             seed = params.Params.base_seed + day;
-             faults;
-           }
-         ~protocol:(protocol.make ()) ~trace ~workload ())
-        .Engine.report)
-
-let run_trace_point ~(params : Params.t) ~protocol ~load ?(spec = default_spec)
-    () =
-  let buffer_bytes =
-    match spec.buffer with
-    | Profile_default -> params.Params.trace_buffer_bytes
-    | Unlimited -> None
-    | Bytes b -> Some b
-  in
-  (* Canonicalize all-zero-rate configs so a "faulted at severity 0"
-     point shares its cache cell with plain points. *)
-  let faults = if Faults.is_none spec.faults then Faults.none else spec.faults in
-  let key =
-    {
-      Point_key.cache_id = protocol.cache_id;
-      load;
-      meta_cap_frac = spec.meta_cap_frac;
-      buffer_bytes;
-      deployment_noise = spec.deployment_noise;
-      days = params.Params.days;
-      base_seed = params.Params.base_seed;
-      packet_bytes = params.Params.trace_packet_bytes;
-      deadline = params.Params.trace_deadline;
-      faults;
-    }
-  in
-  match
-    Mutex.protect cache_lock (fun () ->
-        Hashtbl.find_opt trace_point_cache key)
-  with
+let find_or_run ~params desc =
+  let key = key params desc in
+  let digest = Store.digest_of_key key in
+  match Mutex.protect cache_lock (fun () -> Hashtbl.find_opt memo digest) with
   | Some pt -> pt
-  | None -> (
+  | None ->
       let store = cache_store () in
-      let skey () = trace_store_key ~params key in
-      let memoize pt =
-        Mutex.protect cache_lock (fun () ->
-            Hashtbl.replace trace_point_cache key pt)
+      let pt =
+        match Option.bind store (fun s -> store_find_point s key) with
+        | Some pt -> pt
+        | None ->
+            (* Computed outside the lock (a point is seconds of
+               simulation); a racing duplicate computation produces the
+               identical value, so a lost replace is harmless — as is a
+               racing store write, thanks to the atomic rename. *)
+            let pt = compute ~params desc in
+            Option.iter (fun s -> Store.store s ~key (point_to_json pt)) store;
+            pt
       in
-      match
-        match store with
-        | None -> None
-        | Some s -> store_find_point s (skey ())
-      with
-      | Some pt ->
-          memoize pt;
-          pt
-      | None ->
-          (* Computed outside the lock (a point is seconds of simulation);
-             a racing duplicate computation would produce the identical
-             value, so a lost replace is harmless — as is a racing store
-             write, thanks to the atomic rename. *)
-          let pt =
-            run_trace_point_uncached ~params ~protocol ~load ~spec
-              ~buffer_bytes ~faults
-          in
-          (match store with
-          | None -> ()
-          | Some s -> Store.store s ~key:(skey ()) (point_to_json pt));
-          memoize pt;
-          pt)
+      Mutex.protect cache_lock (fun () -> Hashtbl.replace memo digest pt);
+      pt
 
-let run_synthetic_point ~(params : Params.t) ~protocol ~mobility ~load
+let run_trace_point ~params ~protocol ~load ?(spec = default_spec) () =
+  find_or_run ~params
+    { proto = protocol.protocol; model = Trace_days; load; spec }
+
+let run_synthetic_point ~params ~protocol ~mobility ~load
     ?(spec = default_spec) () =
-  let buffer_bytes =
-    match spec.buffer with
-    | Profile_default -> Some params.Params.syn_buffer_bytes
-    | Unlimited -> None
-    | Bytes b -> Some b
-  in
-  let faults = if Faults.is_none spec.faults then Faults.none else spec.faults in
-  let compute () =
-    Pool.init params.Params.syn_runs (fun run ->
-        let seed = params.Params.base_seed + (1000 * run) in
-        let rng = Rng.create seed in
-        let trace =
-          match mobility with
-          | `Powerlaw ->
-              Rapid_mobility.Mobility.powerlaw rng
-                ~num_nodes:params.Params.syn_nodes
-                ~mean_inter_meeting:params.Params.syn_mean_inter_meeting
-                ~duration:params.Params.syn_duration
-                ~opportunity_bytes:params.Params.syn_opportunity_bytes ()
-          | `Exponential ->
-              Rapid_mobility.Mobility.exponential rng
-                ~num_nodes:params.Params.syn_nodes
-                ~mean_inter_meeting:params.Params.syn_mean_inter_meeting
-                ~duration:params.Params.syn_duration
-                ~opportunity_bytes:params.Params.syn_opportunity_bytes
-        in
-        let workload =
-          Workload.generate rng ~trace
-            ~pkts_per_hour_per_dest:(Params.syn_pair_rate_per_hour params load)
-            ~size:params.Params.syn_packet_bytes
-            ~lifetime:params.Params.syn_deadline ()
-        in
-        (Engine.run
-           ~options:
-             {
-               Engine.buffer_bytes;
-               meta_cap_frac = spec.meta_cap_frac;
-               seed;
-               faults;
-             }
-           ~protocol:(protocol.make ()) ~trace ~workload ())
-          .Engine.report)
-  in
-  match cache_store () with
-  | None -> compute ()
-  | Some s -> (
-      let skey =
-        synthetic_store_key ~params ~cache_id:protocol.cache_id ~mobility
-          ~load ~spec ~buffer_bytes ~faults
-      in
-      match store_find_point s skey with
-      | Some pt -> pt
-      | None ->
-          let pt = compute () in
-          Store.store s ~key:skey (point_to_json pt);
-          pt)
+  find_or_run ~params
+    { proto = protocol.protocol; model = Synthetic mobility; load; spec }

@@ -6,23 +6,36 @@
     [--jobs]). Every cell derives its RNGs from explicit seeds, so a
     parallel point is bit-identical to a sequential one. *)
 
+(** A protocol configuration as data: everything its runs depend on. *)
+type protocol =
+  | Rapid of Rapid_core.Rapid.params
+      (** The tracer field is not part of the configuration: it only
+          observes. *)
+  | Maxprop
+  | Spray_wait of int  (** Initial copy budget L. *)
+  | Prophet
+  | Random of { acks : bool }
+  | Epidemic
+  | Direct
+
 type protocol_spec = {
   label : string;  (** Line label in the rendered figure. *)
-  cache_id : string;
-      (** Distinct per protocol *configuration* (metric, channel, acks):
-          identical (cache_id, workload) trace points are computed once per
-          process, so figures sharing baselines do not re-run them. *)
-  make : unit -> Rapid_sim.Protocol.packed;
+  protocol : protocol;
 }
 
+val make : protocol -> Rapid_sim.Protocol.packed
+(** A fresh protocol instance for one run. *)
+
 val rapid : Rapid_core.Metric.t -> protocol_spec
-val rapid_with :
-  ?label:string -> Rapid_core.Rapid.params -> protocol_spec
+(** ["RAPID"] with {!Rapid_core.Rapid.default_params}. *)
+
 val maxprop : protocol_spec
 val spray_wait : protocol_spec
 val prophet : protocol_spec
 val random : protocol_spec
 val random_acks : protocol_spec
+val epidemic : protocol_spec
+val direct : protocol_spec
 
 val comparison_set : Rapid_core.Metric.t -> protocol_spec list
 (** RAPID (with the given metric), MaxProp, Spray-and-Wait, Random — the
@@ -53,13 +66,41 @@ type point_spec = {
   faults : Rapid_faults.Faults.config;
       (** Fault injection for this point; [Faults.none] (the default)
           runs the plain engine. All-zero-rate configs are canonicalized
-          to [Faults.none] before keying the cache, so a "severity 0"
-          point aliases the plain one. *)
+          to [Faults.none] before keying, so a "severity 0" point aliases
+          the plain one. *)
 }
 
 val default_spec : point_spec
 (** No cap, profile buffers, no noise — override fields as needed:
     [{ default_spec with buffer = Bytes b }]. *)
+
+(** The workload model a point runs on. *)
+type model =
+  | Trace_days  (** The profile's DieselNet days. *)
+  | Synthetic of [ `Powerlaw | `Exponential ]
+      (** The profile's Table-4 scenario over [syn_runs] seeds. *)
+
+type point_desc = {
+  proto : protocol;
+  model : model;
+  load : float;
+  spec : point_spec;
+}
+(** Everything that identifies a point, next to the profile. *)
+
+val point_schema : int
+(** Version of the key and payload shapes (2). Bumping it orphans every
+    stored cell. *)
+
+val key : Params.t -> point_desc -> Rapid_obs.Json.t
+(** The point's total key: the protocol configuration, the resolved
+    point (load, meta cap, buffer bytes after profile resolution, noise,
+    canonicalized faults) and the workload model's profile inputs (days
+    and the DieselNet record for trace points; mobility and the [syn_*]
+    fields for synthetic ones) plus the base seed, so points whose
+    reports differ never share a key. Its
+    {!Rapid_store.Store.digest_of_key} addresses both the in-process
+    memo and the persistent store. *)
 
 val run_trace_point :
   params:Params.t ->
@@ -70,10 +111,9 @@ val run_trace_point :
   point
 (** Run the protocol over the profile's DieselNet days at the given load
     (packets/hour/destination), with the profile's packet size, deadline
-    and buffers unless [spec] overrides them. Cached per process under a
-    typed {!Point_key.t} (protocol configuration, load, spec overrides,
-    and the profile inputs the run depends on — days, base seed, packet
-    size, deadline — so two profiles in one process never alias). *)
+    and buffers unless [spec] overrides them. Memoized per process under
+    {!key} (the label plays no part), in front of the store installed by
+    {!set_cache_dir}. *)
 
 val run_synthetic_point :
   params:Params.t ->
@@ -85,27 +125,25 @@ val run_synthetic_point :
   point
 (** Run the profile's Table-4 synthetic scenario over [syn_runs] seeds;
     [load] is packets per 50 s per destination. [spec.deployment_noise]
-    is ignored (it is a trace-layer effect). *)
+    is ignored (it is a trace-layer effect). Memoized like
+    {!run_trace_point}. *)
 
-(** The typed trace-point cache key (exposed for tests). *)
-module Point_key : sig
-  type t = {
-    cache_id : string;
-    load : float;
-    meta_cap_frac : float option;
-    buffer_bytes : int option;
-    deployment_noise : bool;
-    days : int;
-    base_seed : int;
-    packet_bytes : int;
-    deadline : float;
-    faults : Rapid_faults.Faults.config;
-  }
-end
+val trace_cell :
+  ?tracer:Rapid_obs.Tracer.t ->
+  params:Params.t ->
+  protocol:protocol ->
+  load:float ->
+  spec:point_spec ->
+  int ->
+  Rapid_sim.Metrics.report
+(** One day of a trace point, run live (no cache): the cell
+    {!run_trace_point} fans out over days. [tracer] receives the day's
+    engine events. *)
 
 val reset_point_cache : unit -> unit
-(** Drop every cached trace point AND the session's persistent store
-    handle (tests use this to force live runs and isolate cache state). *)
+(** Drop every memoized point (trace and synthetic) AND the session's
+    persistent store handle (tests use this to force live runs and
+    isolate cache state). *)
 
 val set_cache_dir : string option -> unit
 (** Attach a persistent {!Rapid_store.Store} under the given directory

@@ -13,7 +13,8 @@ type t = {
   ub : float array;
   mutable rows : constr list;  (* reversed *)
   mutable num_rows : int;
-  mutable integers : int list;
+  mutable integers : int list;  (* reversed order of first marks *)
+  is_integer : bool array;
 }
 
 let create ~num_vars =
@@ -26,6 +27,7 @@ let create ~num_vars =
     rows = [];
     num_rows = 0;
     integers = [];
+    is_integer = Array.make num_vars false;
   }
 
 let num_vars t = t.n
@@ -60,7 +62,10 @@ let bounds t = Array.init t.n (fun i -> (t.lb.(i), t.ub.(i)))
 
 let mark_integer t i =
   check_var t i;
-  if not (List.mem i t.integers) then t.integers <- i :: t.integers
+  if not t.is_integer.(i) then begin
+    t.is_integer.(i) <- true;
+    t.integers <- i :: t.integers
+  end
 
 let integer_vars t = List.rev t.integers
 let objective t = Array.copy t.obj

@@ -41,9 +41,12 @@ val bounds : t -> (float * float) array
 (** Per-variable (lower, upper). *)
 
 val mark_integer : t -> int -> unit
-(** Require the variable to take an integer value (for {!Ilp}). *)
+(** Require the variable to take an integer value (for {!Ilp}). Marking
+    a variable again is a no-op, in constant time. *)
 
 val integer_vars : t -> int list
+(** The integer variables, in the order of their first marks. *)
+
 val objective : t -> float array
 val constraints : t -> constr list
 (** In insertion order. *)

@@ -62,6 +62,16 @@ let severe =
     contact_drop_prob = 0.2;
   }
 
+(* A non-finite reboot rate would stop the planner's reboot loop from
+   advancing, so [parse] must refuse it; [plan] is never called with one. *)
+let test_parse_rejects_non_finite_rates () =
+  List.iter
+    (fun spec ->
+      match Faults.parse spec with
+      | Ok _ -> Alcotest.failf "%s accepted" spec
+      | Error _ -> ())
+    [ "reboots=inf"; "reboots=infinity"; "reboots=nan" ]
+
 let test_plan_deterministic () =
   let trace = small_trace ~seed:3 in
   let p1 = Faults.plan severe ~run_seed:5 ~trace in
@@ -396,7 +406,12 @@ let qcheck_cases =
 let () =
   Alcotest.run "faults"
     [
-      ("spec", [ Alcotest.test_case "parse" `Quick test_parse ]);
+      ( "spec",
+        [
+          Alcotest.test_case "parse" `Quick test_parse;
+          Alcotest.test_case "parse rejects non-finite rates" `Quick
+            test_parse_rejects_non_finite_rates;
+        ] );
       ( "plan",
         [
           Alcotest.test_case "deterministic" `Quick test_plan_deterministic;

@@ -942,6 +942,20 @@ let prop_presolve_postsolve_roundtrip =
             | Dense_simplex.Iter_limit -> true
           end)
 
+(* [Optimal.evaluate] marks up to ~40k columns integer: marking must
+   ignore duplicates without scanning earlier marks, and keep the order
+   of first marks (branch and bound branches in that order). *)
+let test_mark_integer_dedup_order () =
+  let n = 40_000 in
+  let p = Lp_problem.create ~num_vars:n in
+  (* 7919 is prime and does not divide n, so this visits every column. *)
+  let order = List.init n (fun i -> i * 7919 mod n) in
+  List.iter (Lp_problem.mark_integer p) order;
+  List.iter (Lp_problem.mark_integer p) (List.rev order);
+  Lp_problem.mark_integer p (List.hd order);
+  Alcotest.(check (list int)) "first-mark order, no duplicates" order
+    (Lp_problem.integer_vars p)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -985,6 +999,8 @@ let () =
             test_ilp_infeasible;
           Alcotest.test_case "warm starts counted" `Quick
             test_ilp_warm_starts_counted;
+          Alcotest.test_case "integer marks: dedup, first-mark order" `Quick
+            test_mark_integer_dedup_order;
         ] );
       ("properties", qcheck_cases);
     ]
