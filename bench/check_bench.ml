@@ -188,16 +188,6 @@ let () =
       | Some v -> Printf.printf "%s = %d\n" name v
       | None -> fail "missing counter \"%s\"" name)
     [ "store.hits"; "store.misses"; "store.writes"; "store.corrupt_cells" ];
-  (* Believed-rate cache counters: registration is opt-in (the CLI leaves
-     them off to keep its pinned report goldens byte-stable) but the
-     bench harness always turns them on, so a BENCH.json without them
-     means the cache instrumentation was dropped. *)
-  List.iter
-    (fun name ->
-      match counter name with
-      | Some v -> Printf.printf "%s = %d\n" name v
-      | None -> fail "missing counter \"%s\"" name)
-    [ "rapid.rate_cache_hits"; "rapid.rate_cache_misses" ];
   let timer name =
     match Json.member "timers" doc with
     | Some timers -> (
@@ -229,9 +219,9 @@ let () =
           "minor_collections"; "major_collections";
         ]
   | None -> fail "missing \"gc\" block");
-  (* The believed-rate and JSON-codec microbenches must exist (their
-     numbers are not gated — too noisy in CI — but their disappearance
-     means the benchmark was dropped). *)
+  (* The JSON-codec microbench must exist (its numbers are not gated —
+     too noisy in CI — but its disappearance means the benchmark was
+     dropped). *)
   (match Json.member "microbench" doc with
   | Some (Json.List items) ->
       let has name =
@@ -241,10 +231,7 @@ let () =
       in
       List.iter
         (fun name -> if not (has name) then fail "missing microbench \"%s\"" name)
-        [
-          "primitives/believed-rate (cached vs cold)";
-          "primitives/json render+parse (21k-outcome report)";
-        ]
+        [ "primitives/json render+parse (21k-outcome report)" ]
   | Some _ | None -> fail "missing \"microbench\" list");
   Option.iter (compare_baseline doc) baseline;
   if !errors > 0 then begin

@@ -16,10 +16,6 @@ type t = {
   rows : float array array;  (* rows.(a): ≤h-hop row from a; [||] = never built *)
   row_epoch : int array;
   row_h : int array;
-  (* Content version of rows.(a): bumped by a rebuild only when some cell
-     actually moved, so believed-rate caches stamped with it survive the
-     (frequent) epoch bumps that leave this row's values untouched. *)
-  row_ver : int array;
   scratch : Dense.Scratch.t;
 }
 
@@ -38,7 +34,6 @@ let create ~num_nodes =
     rows = Array.make num_nodes [||];
     row_epoch = Array.make num_nodes (-1);
     row_h = Array.make num_nodes 0;
-    row_ver = Array.make num_nodes 0;
     scratch = Dense.Scratch.create ();
   }
 
@@ -112,28 +107,13 @@ let build_row t ~h a =
     next := tmp
   done;
   let fresh = !cur in
+  (* Reuse the row array in place: callers borrow it only until the next
+     [observe]. *)
   let row =
-    if Array.length t.rows.(a) = n then begin
-      (* Bump the content version only if some cell moved: a rebuild that
-         reproduces the old values keeps every stamp derived from this
-         row alive. Cells are means / min-plus sums of positive gaps (or
-         [infinity], or 0 on the diagonal) — never nan, never -0. — so
-         plain float equality is exact. *)
-      let old = t.rows.(a) in
-      let changed = ref false in
-      let i = ref 0 in
-      while (not !changed) && !i < n do
-        if Array.unsafe_get old !i <> Array.unsafe_get fresh !i then
-          changed := true;
-        incr i
-      done;
-      if !changed then t.row_ver.(a) <- t.row_ver.(a) + 1;
-      old
-    end
+    if Array.length t.rows.(a) = n then t.rows.(a)
     else begin
       let r = Array.make n 0.0 in
       t.rows.(a) <- r;
-      t.row_ver.(a) <- t.row_ver.(a) + 1;
       r
     end
   in
@@ -141,19 +121,6 @@ let build_row t ~h a =
   t.row_epoch.(a) <- t.epoch;
   t.row_h.(a) <- h;
   row
-
-let expected_meeting_time ?(h = 3) t a b =
-  if a = b then 0.0
-  else begin
-    (* The row keyed on [b] holds the old closure's (·,b) column; in the
-       protocol [b] is the packet destination, so one contact touches few
-       distinct rows even when it scores many holders. *)
-    let row =
-      if t.row_epoch.(b) = t.epoch && t.row_h.(b) = h then t.rows.(b)
-      else build_row t ~h b
-    in
-    row.(a)
-  end
 
 (* The up-to-date ≤h-hop row keyed on [b] (same lazy build a query
    triggers). Borrowed, not owned: valid only until the next [observe] —
@@ -163,15 +130,14 @@ let row ?(h = 3) t b =
   if t.row_epoch.(b) = t.epoch && t.row_h.(b) = h then t.rows.(b)
   else build_row t ~h b
 
-(* Bring the row up to date exactly as a query would (same lazy build,
-   same counters), then report its content version. Callers stamping a
-   cached value with this must only call it when a query for the row is
-   about to happen anyway, so the build accounting stays identical to the
-   uncached walk. *)
-let row_version ?(h = 3) t a =
-  if not (t.row_epoch.(a) = t.epoch && t.row_h.(a) = h) then
-    ignore (build_row t ~h a);
-  t.row_ver.(a)
+let expected_meeting_time ?(h = 3) t a b =
+  if a = b then 0.0
+  else begin
+    (* The row keyed on [b] holds the old closure's (·,b) column; in the
+       protocol [b] is the packet destination, so one contact touches few
+       distinct rows even when it scores many holders. *)
+    (row ~h t b).(a)
+  end
 
 let updates_count t = t.updates
 

@@ -39,15 +39,6 @@ val row : ?h:int -> t -> int -> float array
     callers must not mutate it. Triggers the same lazy build a query
     would. *)
 
-val row_version : ?h:int -> t -> int -> int
-(** Content version of the ≤[h]-hop row keyed on the given node: first
-    brings the row up to date (the same lazy build a query triggers —
-    call this only when a query is imminent so build counts are
-    unchanged), then returns a counter that bumps only when a rebuild
-    actually moved some cell. Together with {!Replica_db.version} it
-    forms the believed-rate cache stamp: while both stand still, every
-    [expected_meeting_time (·, node)] read is unchanged. *)
-
 val updates_count : t -> int
 (** Total number of cell updates so far — used by the control channel to
     price table synchronization. *)

@@ -72,13 +72,9 @@ type pos_cell = {
    only the destination cells whose (node, dst) version moved and keeps
    every other cell untouched — the kept cells are bit-identical to what
    a from-scratch rebuild would produce, because an unmoved version pins
-   the cell's entry set. [pi_refresh_epoch] mirrors the epoch the
-   pre-incremental refresh-level cache recorded at its last miss; it
-   exists only so the build counter keeps its old values (see
-   [sync_index]). *)
+   the cell's entry set. *)
 type pos_index = {
   mutable pi_epoch : int;
-  mutable pi_refresh_epoch : int;
   pi_cells : (int, pos_cell) Hashtbl.t;  (* dst -> cell *)
 }
 
@@ -121,10 +117,6 @@ let make params : Protocol.packed =
          they were built and reuses every other cell bit-identically. *)
       pos_cache : (int, pos_index) Hashtbl.t;
       victim : victim_plan;
-      (* Believed-rate cache (Eq. 9): rates stamped with
-         (Replica_db.version, Meeting_matrix.row_version) and reused
-         until either input moves. See Rate_cache / DESIGN §3a. *)
-      rcache : Rate_cache.t;
       (* Contact sequence number; stamps contact_indexes entries so
          cached_index can assert it never serves across contacts. *)
       mutable contact_seq : int;
@@ -205,7 +197,6 @@ let make params : Protocol.packed =
             v_len = 0;
             v_cursor = 0;
           };
-        rcache = Rate_cache.create ~num_nodes:n;
         contact_seq = 0;
         cell_ver = Dense.Int_mat.create n;
         refresh_memo = Hashtbl.create 16;
@@ -287,49 +278,27 @@ let make params : Protocol.packed =
       max 1 (int_of_float (Float.ceil (float_of_int bytes /. avg)))
 
     (* Total delivery rate R over the believed holders of [packet] as seen
-       by [observer] (Eq. 9 summation), cached per (observer, packet).
-       The fold's value is a pure function of the packet's holder set in
-       the observer's view and of the h-hop row keyed on the destination;
-       both carry versions, so the cached value is reused until one of
-       them moves. With no holders the fold touches neither the matrix
-       nor the cache — the 0.0 short-circuit keeps row-build accounting
-       identical to the plain walk. On a hit the holder table is
-       untouched since the stamp was taken, so a re-fold would visit the
-       same holders in the same order over the same row: the cached float
-       is bit-identical to the recomputation it replaces. *)
+       by [observer] (Eq. 9 summation). With no holders the fold touches
+       no matrix row, so no row is built for it. The fold reads the
+       borrowed row directly: [row.(holder)] is the exact cell
+       [meeting_time t holder dst] reads (0.0 on the diagonal), minus the
+       per-holder revalidation. The row cannot move mid-fold — nothing in
+       it observes the matrix. *)
     let believed_rate t ~observer ~(packet : Packet.t) =
       let db = view t observer in
       let id = packet.Packet.id in
       if Replica_db.holder_count db ~packet_id:id = 0 then 0.0
       else begin
         let dst = packet.Packet.dst in
-        let pkt_ver = Replica_db.version db ~packet_id:id in
-        let row_ver = Meeting_matrix.row_version ~h:params.h_hops t.matrix dst in
-        let cached =
-          Rate_cache.find t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
-        in
-        if not (Float.is_nan cached) then cached
-        else begin
-          (* Fold over the borrowed row directly: [row.(holder)] is the
-             exact cell [meeting_time t holder dst] reads (0.0 on the
-             diagonal), minus the per-holder revalidation. The row cannot
-             move mid-fold — nothing in it observes the matrix. *)
-          let row = Meeting_matrix.row ~h:params.h_hops t.matrix dst in
-          let r =
-            Replica_db.fold_holders db ~packet_id:id ~init:0.0
-              ~f:(fun acc holder_id (h : Replica_db.holder) ->
-                let mt =
-                  if holder_id = dst then 0.0
-                  else Array.unsafe_get row holder_id
-                in
-                acc
-                +. Estimate_delay.rate_of_holder ~meeting_time:mt
-                     ~n_meet:h.Replica_db.n_meet)
-          in
-          Rate_cache.store t.rcache ~observer ~packet_id:id ~pkt_ver ~row_ver
-            ~rate:r;
-          r
-        end
+        let row = Meeting_matrix.row ~h:params.h_hops t.matrix dst in
+        Replica_db.fold_holders db ~packet_id:id ~init:0.0
+          ~f:(fun acc holder_id (h : Replica_db.holder) ->
+            let mt =
+              if holder_id = dst then 0.0 else Array.unsafe_get row holder_id
+            in
+            acc
+            +. Estimate_delay.rate_of_holder ~meeting_time:mt
+                 ~n_meet:h.Replica_db.n_meet)
       end
 
     (* Delivery order within a destination cell: (created, id, size)
@@ -350,29 +319,19 @@ let make params : Protocol.packed =
        reused [t.scratch_by_dst] arena), only those cells are re-sorted,
        and cells whose version moved but have no surviving entries are
        dropped. Unchanged-version cells are reused as-is.
-
-       Counter discipline: [c_position_index_builds] lands in hashed
-       report JSON, so it must keep the values of the from-scratch build
-       it replaces. That build was counted at two miss sites — the
-       refresh-level epoch cache (whose recorded epoch only refresh_own
-       advanced) and the per-contact cache's fallback through it — so the
-       increments live at those call sites (keyed on [pi_refresh_epoch]),
-       not here: a sync is the build made cheap, not a new countable
-       event. *)
+       [c_position_index_builds] counts the syncs that re-sort. *)
     let sync_index t node =
       let pi =
         match Hashtbl.find_opt t.pos_cache node with
         | Some pi -> pi
         | None ->
-            let pi =
-              { pi_epoch = -1; pi_refresh_epoch = -1;
-                pi_cells = Hashtbl.create 16 }
-            in
+            let pi = { pi_epoch = -1; pi_cells = Hashtbl.create 16 } in
             Hashtbl.replace t.pos_cache node pi;
             pi
       in
       let ep = Buffer.epoch t.env.Env.buffers.(node) in
       if pi.pi_epoch <> ep then begin
+        Rapid_obs.Counter.incr c_position_index_builds;
         let by_dst = t.scratch_by_dst in
         Hashtbl.reset by_dst;
         Buffer.fold_unordered t.env.Env.buffers.(node) ~init:()
@@ -510,11 +469,6 @@ let make params : Protocol.packed =
           idx
       | None ->
           let idx = sync_index t node in
-          (* Count a build iff the refresh-level cache would have missed
-             (its epoch record is only advanced by refresh_own, matching
-             the cache this discipline replaces). *)
-          if idx.pi_refresh_epoch <> Buffer.epoch t.env.Env.buffers.(node)
-          then Rapid_obs.Counter.incr c_position_index_builds;
           Hashtbl.replace t.contact_indexes node (t.contact_seq, idx);
           idx
 
@@ -661,12 +615,7 @@ let make params : Protocol.packed =
          inputs (pair sample count) are untouched since the last refresh
          reproduces the exact n_meet of that refresh for every entry, so
          its hysteresis verdicts stand and the whole cell is skipped. *)
-      let ep = Buffer.epoch t.env.Env.buffers.(node) in
       let index = sync_index t node in
-      if index.pi_refresh_epoch <> ep then begin
-        Rapid_obs.Counter.incr c_position_index_builds;
-        index.pi_refresh_epoch <- ep
-      end;
       let vers, counts =
         match Hashtbl.find_opt t.refresh_memo node with
         | Some memo -> memo
@@ -1041,10 +990,6 @@ let make params : Protocol.packed =
          wrongly keep every cell. *)
       Hashtbl.remove t.refresh_memo node;
       Hashtbl.remove t.pos_cache node;
-      (* The replacement replica DB below restarts the node's version
-         sequence, so every believed-rate stamp this observer holds is
-         poisoned. *)
-      Rate_cache.drop_observer t.rcache node;
       Array.fill t.own_n.(node) 0 (Array.length t.own_n.(node)) (-1);
       (* First-hand truth: the crashed copies are gone. *)
       List.iter

@@ -22,13 +22,6 @@ type t = {
   mutable log_hids : int array;
   mutable log_len : int;
   mutable log_newest : float;
-  (* Per-packet mutation version, bumped by every write that can change a
-     packet's holder set (set_holder, applied merge, remove_holder of a
-     present holder, remove_packet of a known packet). Indexed by packet
-     id; slots survive record removal so a forgotten-then-regossiped
-     packet can never replay an old version value. Backs the believed-rate
-     cache's (packet version, row version) stamp. *)
-  mutable vers : int array;
 }
 
 (* Bound on log length: beyond it the oldest deltas are discarded, so a
@@ -45,20 +38,7 @@ let create () =
     log_hids = [||];
     log_len = 0;
     log_newest = neg_infinity;
-    vers = [||];
   }
-
-let bump_version t packet_id =
-  let cap = Array.length t.vers in
-  if packet_id >= cap then begin
-    let g = Array.make (max 256 (2 * (packet_id + 1))) 0 in
-    Array.blit t.vers 0 g 0 cap;
-    t.vers <- g
-  end;
-  t.vers.(packet_id) <- t.vers.(packet_id) + 1
-
-let version t ~packet_id =
-  if packet_id < Array.length t.vers then t.vers.(packet_id) else 0
 
 let log_update t ~time ~packet_id ~holder_id =
   let time = Float.max time t.log_newest in
@@ -110,7 +90,6 @@ let record_of t (packet : Packet.t) =
 let set_holder t ~packet ~holder_id ~n_meet ~now =
   let r = record_of t packet in
   Hashtbl.replace r.holders holder_id { n_meet; updated_at = now };
-  bump_version t packet.Packet.id;
   log_update t ~time:now ~packet_id:packet.Packet.id ~holder_id
 
 let merge t ~packet ~holder_id ~holder =
@@ -119,7 +98,6 @@ let merge t ~packet ~holder_id ~holder =
   | Some existing when existing.updated_at >= holder.updated_at -> false
   | Some _ | None ->
       Hashtbl.replace r.holders holder_id holder;
-      bump_version t packet.Packet.id;
       log_update t ~time:holder.updated_at ~packet_id:packet.Packet.id ~holder_id;
       true
 
@@ -127,18 +105,11 @@ let remove_holder t ~packet_id ~holder_id =
   match find_record t packet_id with
   | None -> ()
   | Some r ->
-      if Hashtbl.mem r.holders holder_id then begin
-        Hashtbl.remove r.holders holder_id;
-        bump_version t packet_id;
-        if Hashtbl.length r.holders = 0 then set_record t packet_id None
-      end
+      Hashtbl.remove r.holders holder_id;
+      if Hashtbl.length r.holders = 0 then set_record t packet_id None
 
 let remove_packet t ~packet_id =
-  match find_record t packet_id with
-  | None -> ()
-  | Some _ ->
-      set_record t packet_id None;
-      bump_version t packet_id
+  if packet_id < Array.length t.records then t.records.(packet_id) <- None
 
 let holders t ~packet_id =
   match find_record t packet_id with

@@ -53,17 +53,6 @@ val fold_holders :
 val holder_count : t -> packet_id:int -> int
 (** Number of believed holders; 0 when the packet is unknown. *)
 
-val version : t -> packet_id:int -> int
-(** Per-packet mutation version: strictly increases on every write that
-    can change the packet's holder set — {!set_holder}, an applied
-    {!merge}, {!remove_holder} of a present holder, {!remove_packet} of a
-    known packet. A rejected (stale) merge or a removal of something not
-    stored leaves it untouched. Versions survive {!remove_packet}, so a
-    packet forgotten and later re-learned from gossip continues the same
-    sequence — a cache stamped with an old version can never be revived
-    by coincidence. Unknown packets read as 0; any stored state implies a
-    version >= 1. *)
-
 val known_packet : t -> packet_id:int -> Rapid_sim.Packet.t option
 
 val iter_ids_since :

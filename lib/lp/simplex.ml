@@ -26,7 +26,7 @@ let t_solve = Timer.create "lp.solve"
    anti-cycling guarantee.
 
    Variable bounds stay on columns exactly as in the dense solver (kept
-   verbatim in {!Dense_simplex} as the test oracle): nonbasic variables
+   verbatim in test/dense_simplex.ml as the test oracle): nonbasic variables
    rest at a bound, the ratio tests enforce boxes, and a bound-to-bound
    move is an O(m) flip with no pivot. *)
 

@@ -33,7 +33,8 @@
     A hard iteration cap returns {!Iter_limit} instead of silently
     presenting a truncated solve as optimal (callers must not prune
     against such a result — see {!Ilp}). The dense tableau solver this
-    replaced survives verbatim as {!Dense_simplex}, the qcheck oracle.
+    replaced survives verbatim as [Dense_simplex] in [test/dense_simplex.ml],
+    the qcheck oracle.
 
     Counters [lp.pivots], [lp.phase1_iters], [lp.bound_flips],
     [lp.iter_limits], [lp.cold_solves] (here), [lp.refactorizations],

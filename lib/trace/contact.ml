@@ -2,6 +2,7 @@ type t = { time : float; a : int; b : int; bytes : int }
 
 let make ~time ~a ~b ~bytes =
   if a = b then invalid_arg "Contact.make: self-meeting";
+  if not (Float.is_finite time) then invalid_arg "Contact.make: non-finite time";
   if time < 0.0 then invalid_arg "Contact.make: negative time";
   if bytes < 0 then invalid_arg "Contact.make: negative size";
   { time; a; b; bytes }

@@ -31,6 +31,8 @@ let of_string ?(bandwidth_bytes_per_sec = 250_000) s =
         | [ time; "CONN"; h1; h2; state ] -> (
             match float_of_string_opt time with
             | None -> fail_line n "bad timestamp"
+            | Some time when not (Float.is_finite time) ->
+                fail_line n "non-finite timestamp"
             | Some time ->
                 if time < !last_time then fail_line n "events out of order";
                 last_time := time;

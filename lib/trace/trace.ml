@@ -7,6 +7,8 @@ type t = {
 
 let create ~num_nodes ~duration ?active contacts =
   if num_nodes <= 0 then invalid_arg "Trace.create: num_nodes";
+  if not (Float.is_finite duration) then
+    invalid_arg "Trace.create: non-finite duration";
   if duration <= 0.0 then invalid_arg "Trace.create: duration";
   List.iter
     (fun (c : Contact.t) ->

@@ -36,7 +36,8 @@ let of_string s =
             | None -> fail_line n "bad node count")
         | [ "duration"; v ] -> (
             match float_of_string_opt v with
-            | Some v -> duration := Some v
+            | Some v when Float.is_finite v -> duration := Some v
+            | Some _ -> fail_line n "non-finite duration"
             | None -> fail_line n "bad duration")
         | "active" :: ids ->
             let parse v =
@@ -52,8 +53,10 @@ let of_string s =
                 int_of_string_opt b,
                 int_of_string_opt bytes )
             with
-            | Some time, Some a, Some b, Some bytes ->
-                contacts := Contact.make ~time ~a ~b ~bytes :: !contacts
+            | Some time, Some a, Some b, Some bytes -> (
+                match Contact.make ~time ~a ~b ~bytes with
+                | c -> contacts := c :: !contacts
+                | exception Invalid_argument msg -> fail_line n msg)
             | _ -> fail_line n "bad contact record")
         | _ -> fail_line n (Printf.sprintf "unrecognized record %S" line)
       end)

@@ -2,8 +2,10 @@
    as it shipped before the sparse revised-simplex rewrite (PR 10), minus
    the Rapid_obs instrumentation (the live registry names now belong to
    {!Simplex}). The qcheck equivalence properties in test/test_lp.ml pit
-   the sparse solver against this module on random bounded LPs; nothing in
-   lib/ or bin/ may depend on it. *)
+   the sparse solver against this module on random bounded LPs. It lives
+   under test/, so nothing in lib/ or bin/ can depend on it. *)
+
+open Rapid_lp
 
 type solution = { objective : float; solution : float array }
 

@@ -6,10 +6,12 @@
     qcheck equivalence properties in [test/test_lp.ml] check the sparse
     {!Simplex} against this module on random bounded LPs.
 
-    Nothing under [lib/] or [bin/] may depend on it — every pivot is
-    O(m·n), which is exactly the cost profile the sparse rewrite removed.
-    The API mirrors {!Simplex} so tests can drive both sides through the
-    same harness. *)
+    It lives under [test/], so nothing under [lib/] or [bin/] can depend
+    on it — every pivot is O(m·n), which is exactly the cost profile the
+    sparse rewrite removed. The API mirrors {!Simplex} so tests can drive
+    both sides through the same harness. *)
+
+open Rapid_lp
 
 type solution = { objective : float; solution : float array }
 

@@ -285,66 +285,39 @@ let test_replica_db_entries_since () =
   Alcotest.(check int) "recent only" 1 (List.length (Replica_db.entries_since db 2.0));
   Alcotest.(check int) "none" 0 (List.length (Replica_db.entries_since db 5.0))
 
-let test_replica_db_versions () =
+let test_replica_db_noop_writes () =
+  (* Writes that must leave the holder set untouched: a stale merge, the
+     removal of an absent holder and forgetting an unknown packet. *)
   let db = Replica_db.create () in
   let p = packet ~id:3 ~src:0 ~dst:1 () in
-  Alcotest.(check int) "unknown packet reads 0" 0
-    (Replica_db.version db ~packet_id:3);
   Replica_db.set_holder db ~packet:p ~holder_id:0 ~n_meet:1 ~now:1.0;
-  let v1 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "stored state implies version >= 1" true (v1 >= 1);
-  let applied =
-    Replica_db.merge db ~packet:p ~holder_id:0
-      ~holder:{ Replica_db.n_meet = 9; updated_at = 0.5 }
+  Replica_db.set_holder db ~packet:p ~holder_id:4 ~n_meet:2 ~now:2.0;
+  let snapshot () =
+    List.map
+      (fun (id, (h : Replica_db.holder)) ->
+        (id, h.Replica_db.n_meet, h.Replica_db.updated_at))
+      (Replica_db.holders db ~packet_id:3)
   in
-  Alcotest.(check bool) "stale merge rejected" false applied;
-  Alcotest.(check int) "rejected merge keeps version" v1
-    (Replica_db.version db ~packet_id:3);
-  let applied =
-    Replica_db.merge db ~packet:p ~holder_id:4
-      ~holder:{ Replica_db.n_meet = 2; updated_at = 2.0 }
-  in
-  Alcotest.(check bool) "fresh merge applied" true applied;
-  let v2 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "applied merge bumps" true (v2 > v1);
+  let holders = Alcotest.(list (triple int int (float 0.0))) in
+  let before = snapshot () in
+  Alcotest.(check bool) "stale merge rejected" false
+    (Replica_db.merge db ~packet:p ~holder_id:0
+       ~holder:{ Replica_db.n_meet = 9; updated_at = 0.5 });
+  Alcotest.check holders "stale merge changes nothing" before (snapshot ());
   Replica_db.remove_holder db ~packet_id:3 ~holder_id:7;
-  Alcotest.(check int) "absent removal keeps version" v2
-    (Replica_db.version db ~packet_id:3);
-  Replica_db.remove_holder db ~packet_id:3 ~holder_id:4;
-  let v3 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "present removal bumps" true (v3 > v2);
+  Alcotest.check holders "absent removal is a no-op" before (snapshot ());
+  Alcotest.(check int) "still two holders" 2
+    (Replica_db.holder_count db ~packet_id:3);
+  Replica_db.remove_packet db ~packet_id:9;
+  Replica_db.remove_packet db ~packet_id:10_000;
+  Alcotest.check holders "forgetting the unknown is a no-op" before
+    (snapshot ());
+  Alcotest.(check int) "unknown stays unknown" 0
+    (Replica_db.holder_count db ~packet_id:9);
   Replica_db.remove_packet db ~packet_id:3;
-  let v4 = Replica_db.version db ~packet_id:3 in
-  Alcotest.(check bool) "forgetting bumps" true (v4 > v3);
   Replica_db.remove_packet db ~packet_id:3;
-  Alcotest.(check int) "forgetting the unknown keeps version" v4
-    (Replica_db.version db ~packet_id:3);
-  (* The sequence survives the forget: a packet re-learned from gossip
-     can never coincide with a stamp taken before it was forgotten. *)
-  Replica_db.set_holder db ~packet:p ~holder_id:2 ~n_meet:1 ~now:3.0;
-  Alcotest.(check bool) "re-learning continues the sequence" true
-    (Replica_db.version db ~packet_id:3 > v4)
-
-let test_matrix_row_version_content_stamped () =
-  let m = Meeting_matrix.create ~num_nodes:6 in
-  (* Connected pair (0,1); pair (4,5) in its own component. *)
-  Meeting_matrix.observe m ~now:100.0 ~a:0 ~b:1;
-  Meeting_matrix.observe m ~now:300.0 ~a:0 ~b:1;
-  let v1 = Meeting_matrix.row_version m 1 in
-  Alcotest.(check int) "stable across queries" v1
-    (Meeting_matrix.row_version m 1);
-  (* A mean change in the disconnected component forces a rebuild of
-     row 1 (the shared epoch moved) but cannot move any of its cells:
-     the content version must not bump, so believed-rate stamps built on
-     it survive. *)
-  Meeting_matrix.observe m ~now:50.0 ~a:4 ~b:5;
-  Meeting_matrix.observe m ~now:150.0 ~a:4 ~b:5;
-  Alcotest.(check int) "value-identical rebuild keeps version" v1
-    (Meeting_matrix.row_version m 1);
-  (* Moving the (0,1) mean moves row 1's cells: the version bumps. *)
-  Meeting_matrix.observe m ~now:1300.0 ~a:0 ~b:1;
-  Alcotest.(check bool) "moved row bumps version" true
-    (Meeting_matrix.row_version m 1 > v1)
+  Alcotest.(check int) "forgotten twice" 0
+    (Replica_db.holder_count db ~packet_id:3)
 
 (* ------------------------------------------------------------------ *)
 (* RAPID end-to-end *)
@@ -869,90 +842,6 @@ let prop_more_holders_never_slower =
           Estimate_delay.expected_delay ~rate:(rate holders)
           <= Estimate_delay.expected_delay ~rate:(rate rest))
 
-let prop_rate_cache_stamps_sound =
-  (* The believed-rate cache contract (DESIGN §3a): a value stamped with
-     (Replica_db per-packet version, Meeting_matrix row content version)
-     may be served as long as both stamps still match — under ANY
-     interleaving of holder-set writes and meeting observations. The
-     oracle is the always-refolded Eq. 9 sum; equality is exact float
-     equality, because the contract is bit-identity, not approximation.
-     A mutation path that forgets to bump its stamp shows up here as a
-     stale hit diverging from the oracle. *)
-  QCheck.Test.make
-    ~name:"rate cache stamped hits = always-refold (interleavings)"
-    ~count:60
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let rng = Rapid_prelude.Rng.create seed in
-      let n = 8 in
-      let dst = n - 1 in
-      let m = Meeting_matrix.create ~num_nodes:n in
-      let db = Replica_db.create () in
-      let rc = Rate_cache.create ~num_nodes:1 in
-      let p = packet ~id:5 ~src:0 ~dst ~size:100 () in
-      let clock = ref 0.0 in
-      let tick () =
-        clock := !clock +. 1.0 +. (Rapid_prelude.Rng.float rng *. 10.0);
-        !clock
-      in
-      let fold_rate () =
-        let row = Meeting_matrix.row ~h:3 m dst in
-        Replica_db.fold_holders db ~packet_id:5 ~init:0.0
-          ~f:(fun acc holder_id (h : Replica_db.holder) ->
-            let mt = if holder_id = dst then 0.0 else row.(holder_id) in
-            acc
-            +. Estimate_delay.rate_of_holder ~meeting_time:mt
-                 ~n_meet:h.Replica_db.n_meet)
-      in
-      let ok = ref true in
-      for _ = 1 to 120 do
-        (match Rapid_prelude.Rng.int rng 6 with
-        | 0 | 1 ->
-            let a = Rapid_prelude.Rng.int rng n in
-            let b = (a + 1 + Rapid_prelude.Rng.int rng (n - 1)) mod n in
-            if a <> b then Meeting_matrix.observe m ~now:(tick ()) ~a ~b
-        | 2 ->
-            Replica_db.set_holder db ~packet:p
-              ~holder_id:(Rapid_prelude.Rng.int rng n)
-              ~n_meet:(1 + Rapid_prelude.Rng.int rng 5)
-              ~now:(tick ())
-        | 3 ->
-            (* Gossip with a random (possibly stale) origin timestamp:
-               rejected merges must leave the stamp untouched. *)
-            ignore
-              (Replica_db.merge db ~packet:p
-                 ~holder_id:(Rapid_prelude.Rng.int rng n)
-                 ~holder:
-                   {
-                     Replica_db.n_meet = 1 + Rapid_prelude.Rng.int rng 5;
-                     updated_at = Rapid_prelude.Rng.float rng *. !clock;
-                   })
-        | 4 ->
-            Replica_db.remove_holder db ~packet_id:5
-              ~holder_id:(Rapid_prelude.Rng.int rng n)
-        | _ ->
-            if Rapid_prelude.Rng.int rng 4 = 0 then
-              Replica_db.remove_packet db ~packet_id:5);
-        if Replica_db.holder_count db ~packet_id:5 > 0 then begin
-          let pkt_ver = Replica_db.version db ~packet_id:5 in
-          let row_ver = Meeting_matrix.row_version ~h:3 m dst in
-          let served =
-            let c =
-              Rate_cache.find rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
-            in
-            if Float.is_nan c then begin
-              let r = fold_rate () in
-              Rate_cache.store rc ~observer:0 ~packet_id:5 ~pkt_ver ~row_ver
-                ~rate:r;
-              r
-            end
-            else c
-          in
-          if not (Float.equal served (fold_rate ())) then ok := false
-        end
-      done;
-      !ok)
-
 let prop_delta_matches_reference =
   (* The flat delta (Replica_db.ship_delta over int-key backlogs) against
      the tuple-keyed reference it replaced, in lockstep over random
@@ -1092,7 +981,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_nmeet_monotone_in_position; prop_more_holders_never_slower;
       prop_rapid_meta_cap_respected; prop_lazy_rows_equal_full_closure;
-      prop_rate_cache_stamps_sound; prop_delta_matches_reference ]
+      prop_delta_matches_reference ]
 
 let () =
   Alcotest.run "core"
@@ -1108,8 +997,6 @@ let () =
           Alcotest.test_case "global mean" `Quick test_matrix_global_mean;
           Alcotest.test_case "same-instant keeps cache" `Quick
             test_matrix_same_instant_keeps_cache;
-          Alcotest.test_case "row version content-stamped" `Quick
-            test_matrix_row_version_content_stamped;
         ] );
       ( "estimate_delay",
         [
@@ -1128,7 +1015,7 @@ let () =
           Alcotest.test_case "merge freshness" `Quick test_replica_db_merge_freshness;
           Alcotest.test_case "entries since" `Quick test_replica_db_entries_since;
           Alcotest.test_case "log truncation" `Quick test_replica_db_log_truncation;
-          Alcotest.test_case "versions" `Quick test_replica_db_versions;
+          Alcotest.test_case "no-op writes" `Quick test_replica_db_noop_writes;
         ] );
       ( "rapid",
         [

@@ -24,6 +24,12 @@ let test_contact_validation () =
   (match Contact.make ~time:1.0 ~a:3 ~b:3 ~bytes:10 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "self-meeting accepted");
+  List.iter
+    (fun time ->
+      match Contact.make ~time ~a:0 ~b:1 ~bytes:10 with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "contact time %g accepted" time)
+    [ nan; infinity ];
   let c = Contact.make ~time:5.0 ~a:1 ~b:2 ~bytes:100 in
   Alcotest.(check int) "peer of 1" 2 (Contact.peer_of c 1);
   Alcotest.(check int) "peer of 2" 1 (Contact.peer_of c 2);
@@ -68,6 +74,12 @@ let test_trace_validation () =
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "contact after horizon accepted");
+  List.iter
+    (fun duration ->
+      match Trace.create ~num_nodes:2 ~duration [] with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "duration %g accepted" duration)
+    [ nan; infinity ];
   match
     Trace.create ~num_nodes:2 ~duration:10.0
       [ Contact.make ~time:1.0 ~a:0 ~b:5 ~bytes:1 ]
@@ -195,6 +207,22 @@ let test_io_rejects_garbage () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "bad contact accepted"
 
+let test_io_rejects_non_finite () =
+  (* Parsers only: a non-finite horizon must never reach the engine or
+     the workload generator. *)
+  let expect_line_error s line =
+    match Trace_io.of_string s with
+    | exception Failure msg ->
+        let want = Printf.sprintf "Trace_io: line %d: " line in
+        if not (String.starts_with ~prefix:want msg) then
+          Alcotest.failf "%S: wanted a line %d error, got %S" s line msg
+    | _ -> Alcotest.failf "accepted %S" s
+  in
+  expect_line_error "rapid-trace 1\nnodes 2\nduration inf\n" 3;
+  expect_line_error "rapid-trace 1\nnodes 2\nduration nan\n" 3;
+  expect_line_error "rapid-trace 1\nnodes 2\nduration 9\ncontact nan 0 1 100\n" 4;
+  expect_line_error "rapid-trace 1\nnodes 2\nduration 9\ncontact inf 0 1 100\n" 4
+
 let test_io_comments_and_blanks () =
   let s =
     "# a comment\nrapid-trace 1\n\nnodes 3\nduration 50\nactive 0 1\n\
@@ -250,6 +278,10 @@ let test_one_import_rejects_malformed () =
       "5 CONN n1 n2 down\n" (* down without up *);
       "5 CONN n1 n2 up\n4 CONN n1 n3 up\n" (* out of order *);
       "5 CONN n1 n2 up\n6 CONN n1 n2 up\n" (* double up *);
+      "nan CONN n1 n2 up\n";
+      "5 CONN n1 n2 up\nnan CONN n1 n3 up\n4 CONN n2 n3 up\n"
+      (* nan must not disable the order check *);
+      "inf CONN n1 n2 up\n";
     ]
 
 let test_one_import_runs_through_engine () =
@@ -499,6 +531,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_io_file_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_io_rejects_garbage;
+          Alcotest.test_case "rejects non-finite" `Quick
+            test_io_rejects_non_finite;
           Alcotest.test_case "comments and blanks" `Quick test_io_comments_and_blanks;
         ] );
       ( "one_import",
